@@ -48,7 +48,18 @@ class AnalysisError(ReproError, RuntimeError):
     """A statistical analysis could not be carried out on the given inputs."""
 
 
-class SupportLimitError(AnalysisError):
+class RefusalError(AnalysisError):
+    """A well-formed request that no engine will answer within its guards.
+
+    The typed refusal: the router found no rung of its ladder that
+    accepts the request (:func:`repro.runtime.router.plan`), or an exact
+    DP outgrew its support guard (:class:`SupportLimitError`).  The
+    service answers it with HTTP 422 and does not count it against the
+    engine's circuit breaker.
+    """
+
+
+class SupportLimitError(RefusalError):
     """An exact distribution DP outgrew its support guard.
 
     Raised by :func:`repro.core.magnitude.error_pmf` (and friends) when

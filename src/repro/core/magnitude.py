@@ -38,7 +38,7 @@ message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .exceptions import AnalysisError, SupportLimitError
 from .recursive import CellSpec, resolve_chain
@@ -76,6 +76,7 @@ def error_pmf(
     p_cin: Probability = 0.5,
     max_entries: int = 2_000_000,
     prune_below: float = 0.0,
+    quantize: Optional[Callable[[int], int]] = None,
 ) -> Dict[int, float]:
     """Exact PMF of ``D = approx - exact`` for the whole adder output.
 
@@ -89,6 +90,11 @@ def error_pmf(
         Optionally drop deltas whose accumulated mass is below this
         threshold (default 0: fully exact).  When pruning, the returned
         PMF may sum to slightly less than 1.
+    quantize:
+        Optionally map every accumulated delta through this function
+        (the engine's truncated rung rounds to a few significant bits).
+        Nearby deltas merge and no mass drops, so the PMF still sums to
+        1 and the error rate stays exact.
 
     Returns
     -------
@@ -122,9 +128,14 @@ def error_pmf(
                     se, ce_next = ACCURATE.evaluate(a, b, ce)
                     delta_inc = (sa - se) * weight_bit
                     bucket = nxt.setdefault((ca_next, ce_next), {})
-                    for delta, prob in dist.items():
-                        key = delta + delta_inc
-                        bucket[key] = bucket.get(key, 0.0) + prob * w
+                    if quantize is None:
+                        for delta, prob in dist.items():
+                            key = delta + delta_inc
+                            bucket[key] = bucket.get(key, 0.0) + prob * w
+                    else:
+                        for delta, prob in dist.items():
+                            key = quantize(delta + delta_inc)
+                            bucket[key] = bucket.get(key, 0.0) + prob * w
         if prune_below > 0.0:
             for bucket in nxt.values():
                 stale = [d for d, p in bucket.items() if p < prune_below]
@@ -147,6 +158,8 @@ def error_pmf(
         delta_inc = (ca - ce) * weight_carry
         for delta, prob in dist.items():
             key = delta + delta_inc
+            if quantize is not None:
+                key = quantize(key)
             pmf[key] = pmf.get(key, 0.0) + prob
     return {d: p for d, p in pmf.items() if p > 0.0}
 

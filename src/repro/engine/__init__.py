@@ -74,6 +74,7 @@ from .registry import (
     REGISTRY,
     EngineInfo,
     EngineRegistry,
+    Rung,
 )
 from .request import (
     DISTRIBUTION_KINDS,
@@ -100,19 +101,19 @@ from .backends import register_builtin_engines
 from .distribution import (
     DIST_EXACT_MAX_WIDTH,
     DIST_TRUNCATED_MAX_WIDTH,
+    DISTRIBUTION_LADDER,
     MRED_EXACT_MAX_WIDTH,
     QUANT_BITS,
-    exact_width_limit,
     register_distribution_engines,
 )
 from .executor import error_curves, run, run_batch, select_engine
 from .zoo import (
     ZOO_EXACT_MAX_WIDTH,
+    ZOO_LADDER,
     ZOO_MC_MAX_WIDTH,
     ZOO_MRED_EXACT_MAX_WIDTH,
     ZOO_TRUNCATED_MAX_WIDTH,
     register_zoo_engines,
-    zoo_exact_width_limit,
 )
 from .parallel import (
     PARALLEL_EXHAUSTIVE,
@@ -140,12 +141,14 @@ __all__ = [
     "request_key",
     "EngineInfo",
     "EngineRegistry",
+    "Rung",
     "FAMILY_ANALYTICAL",
     "FAMILY_SIMULATION",
     "GLOBAL_CACHE",
     "DISTRIBUTION_KINDS",
     "DIST_EXACT_MAX_WIDTH",
     "DIST_TRUNCATED_MAX_WIDTH",
+    "DISTRIBUTION_LADDER",
     "MRED_EXACT_MAX_WIDTH",
     "QUANT_BITS",
     "KIND_CHAIN",
@@ -166,13 +169,12 @@ __all__ = [
     "METRIC_WCE",
     "PARALLEL_EXHAUSTIVE",
     "ZOO_EXACT_MAX_WIDTH",
+    "ZOO_LADDER",
     "ZOO_MC_MAX_WIDTH",
     "ZOO_MRED_EXACT_MAX_WIDTH",
     "ZOO_TRUNCATED_MAX_WIDTH",
-    "exact_width_limit",
     "register_distribution_engines",
     "register_zoo_engines",
-    "zoo_exact_width_limit",
     "REGISTRY",
     "StageMatrixCache",
     "StageTransition",

@@ -100,30 +100,37 @@ def _chain_result(
     )
 
 
-def run_recursive(request: AnalysisRequest, **options: object) -> AnalysisResult:
-    """Scalar recursion over cached stage transitions (Algorithm 1)."""
+def chain_success(request: AnalysisRequest) -> float:
+    """Unclamped word-level P(success) of the request's chain: the
+    paper's Algorithm 1 over cached stage transitions."""
     cells = request.cells
     pa, pb = request.p_a, request.p_b
+    c1 = request.p_cin
+    c0 = 1.0 - c1
+    for i in range(len(cells) - 1):
+        c0, c1 = stage_transition(cells[i], pa[i], pb[i]).apply(c0, c1)
+    return stage_transition(cells[-1], pa[-1], pb[-1]).success(c0, c1)
+
+
+def run_recursive(request: AnalysisRequest, **options: object) -> AnalysisResult:
+    """Scalar recursion over cached stage transitions (Algorithm 1)."""
     if request.keep_trace:
         from ..core.recursive import analyze_chain
 
-        native = analyze_chain(list(cells), None, list(pa), list(pb),
+        native = analyze_chain(list(request.cells), None,
+                               list(request.p_a), list(request.p_b),
                                request.p_cin, keep_trace=True)
         return _chain_result(request, float(native.p_success),
                              "recursive", True,
                              trace=native.trace, raw=native)
-    n = len(cells)
+    n = len(request.cells)
     # Cache-accelerated execution of the same recursion as
     # ``core.recursive.analyze_chain``; it honours that function's
     # observability contract (span + calls/stages counters) so existing
     # dashboards keep working regardless of which path served the run.
     with _metrics.timed("core.recursive.analyze_chain"), \
             trace_span("core.recursive.analyze_chain", width=n):
-        c1 = request.p_cin
-        c0 = 1.0 - c1
-        for i in range(n - 1):
-            c0, c1 = stage_transition(cells[i], pa[i], pb[i]).apply(c0, c1)
-        p_success = stage_transition(cells[-1], pa[-1], pb[-1]).success(c0, c1)
+        p_success = chain_success(request)
     if _metrics.is_enabled():
         registry = _metrics.get_registry()
         registry.counter("core.recursive.calls").add(1)

@@ -8,8 +8,8 @@ et al.'s block-based error statistics and Roy & Dhar's fast
 mean-error-distance analysis (PAPERS.md): propagate the error-value law
 ``D = approx - exact`` stage by stage over the carry-pair Markov state.
 
-Four engines, one degradation ladder
-(:func:`repro.runtime.router.plan_distribution_engine`):
+Four engines; all but the oracle are rungs of
+:data:`DISTRIBUTION_LADDER`, walked by :func:`repro.runtime.router.plan`:
 
 * ``distribution-dp`` -- exact: the full-PMF DP of
   :func:`repro.core.magnitude.error_pmf` (practical to
@@ -43,18 +43,25 @@ serve, the CLI and the result cache carry them without special cases.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.exceptions import AnalysisError
-from ..core.metrics import metrics_from_pmf
-from .cache import stage_transition
+from ..core.magnitude import (
+    error_moments,
+    error_pmf,
+    joint_error_pmf,
+    relative_error_from_joint,
+    worst_case_error,
+)
+from ..core.metrics import metrics_from_pmf, metrics_from_samples
 from .registry import (
     FAMILY_ANALYTICAL,
     FAMILY_SIMULATION,
     REGISTRY,
     EngineInfo,
+    Rung,
 )
 from .request import (
     DISTRIBUTION_KINDS,
@@ -94,15 +101,24 @@ MC_DEFAULT_SAMPLES = 200_000
 #: Largest empirical support ``distribution-mc`` reports as a PMF.
 MC_MAX_SUPPORT = 4096
 
-
-def exact_width_limit(kind: str) -> Optional[int]:
-    """Widest request the exact ``distribution-dp`` serves for *kind*
-    (``None`` = any width: the WCE interval DP is linear-time)."""
-    if kind == KIND_WCE:
-        return None
-    if kind == KIND_MRED:
-        return MRED_EXACT_MAX_WIDTH
-    return DIST_EXACT_MAX_WIDTH
+#: The routing ladder over this family, walked by
+#: :func:`repro.runtime.router.plan`: exact DP, then truncated DP, then
+#: sampling.  ``wce`` never degrades (the interval DP is linear-time
+#: exact at any width); ``mred`` skips the truncated rung (the joint
+#: ``(delta, exact)`` DP has no mass-preserving truncation).
+DISTRIBUTION_LADDER = (
+    Rung("distribution-dp", {
+        KIND_ERROR_DISTRIBUTION: DIST_EXACT_MAX_WIDTH,
+        KIND_MED: DIST_EXACT_MAX_WIDTH,
+        KIND_MRED: MRED_EXACT_MAX_WIDTH,
+        KIND_WCE: None,
+    }),
+    Rung("distribution-dp-truncated", {
+        KIND_ERROR_DISTRIBUTION: DIST_TRUNCATED_MAX_WIDTH,
+        KIND_MED: DIST_TRUNCATED_MAX_WIDTH,
+    }),
+    Rung("distribution-mc", dict.fromkeys(DISTRIBUTION_KINDS)),
+)
 
 
 def _quantize(delta: int, bits: int = QUANT_BITS) -> int:
@@ -115,67 +131,6 @@ def _quantize(delta: int, bits: int = QUANT_BITS) -> int:
         return delta
     magnitude = (magnitude >> shift) << shift
     return magnitude if delta > 0 else -magnitude
-
-
-def _quantized_error_pmf(request: AnalysisRequest) -> Dict[int, float]:
-    """The :func:`~repro.core.magnitude.error_pmf` DP with deltas kept
-    at :data:`QUANT_BITS` significant bits -- bounded support (about
-    ``2^QUANT_BITS * width`` entries per carry state) at any width,
-    total mass exactly preserved."""
-    from ..core.truth_table import ACCURATE
-
-    cells = request.cells
-    pa, pb, pc = request.p_a, request.p_b, request.p_cin
-    dists: Dict[Tuple[int, int], Dict[int, float]] = {}
-    if pc < 1.0:
-        dists[(0, 0)] = {0: 1.0 - pc}
-    if pc > 0.0:
-        dists[(1, 1)] = {0: pc}
-    for i, table in enumerate(cells):
-        weight_bit = 1 << i
-        nxt: Dict[Tuple[int, int], Dict[int, float]] = {}
-        for (ca, ce), dist in dists.items():
-            if not dist:
-                continue
-            for a in (0, 1):
-                wa = pa[i] if a else 1.0 - pa[i]
-                if wa == 0.0:
-                    continue
-                for b in (0, 1):
-                    wb = pb[i] if b else 1.0 - pb[i]
-                    w = wa * wb
-                    if w == 0.0:
-                        continue
-                    sa, ca_next = table.evaluate(a, b, ca)
-                    se, ce_next = ACCURATE.evaluate(a, b, ce)
-                    delta_inc = (sa - se) * weight_bit
-                    bucket = nxt.setdefault((ca_next, ce_next), {})
-                    for delta, prob in dist.items():
-                        key = _quantize(delta + delta_inc)
-                        bucket[key] = bucket.get(key, 0.0) + prob * w
-        dists = nxt
-    weight_carry = 1 << len(cells)
-    pmf: Dict[int, float] = {}
-    for (ca, ce), dist in dists.items():
-        delta_inc = (ca - ce) * weight_carry
-        for delta, prob in dist.items():
-            key = _quantize(delta + delta_inc)
-            pmf[key] = pmf.get(key, 0.0) + prob
-    return {d: p for d, p in pmf.items() if p > 0.0}
-
-
-def _chain_error_probability(request: AnalysisRequest) -> float:
-    """Word-level P(error) of the request's chain via the cached
-    stage-transition recursion (the paper's Algorithm 1)."""
-    cells = request.cells
-    c1 = request.p_cin
-    c0 = 1.0 - c1
-    for i in range(len(cells) - 1):
-        c0, c1 = stage_transition(
-            cells[i], request.p_a[i], request.p_b[i]).apply(c0, c1)
-    p_success = stage_transition(
-        cells[-1], request.p_a[-1], request.p_b[-1]).success(c0, c1)
-    return 1.0 - min(1.0, max(0.0, p_success))
 
 
 def _result(
@@ -215,46 +170,58 @@ def _pmf_fields(
     return fields, quality.error_rate
 
 
+def _joint_result(
+    request: AnalysisRequest,
+    engine: str,
+    joint: Dict[Tuple[int, int], float],
+) -> AnalysisResult:
+    """Exact MRED result from a joint ``(delta, exact)`` law."""
+    pmf: Dict[int, float] = {}
+    for (delta, _value), prob in joint.items():
+        pmf[delta] = pmf.get(delta, 0.0) + prob
+    fields, error_rate = _pmf_fields(pmf, request)
+    fields["mred"] = relative_error_from_joint(joint)
+    return _result(request, engine, True, error_rate, **fields)
+
+
+def _oracle_result(
+    request: AnalysisRequest, engine: str, report: Any
+) -> AnalysisResult:
+    """Enumeration-oracle result from an exhaustive quality report
+    (``pmf``/``bias``/``mred``/``cases``, chain or windowed)."""
+    fields, error_rate = _pmf_fields(report.pmf, request)
+    fields["bias"] = report.bias
+    if request.kind == KIND_MRED:
+        fields["mred"] = report.mred
+    return _result(request, engine, True, error_rate,
+                   cases=report.cases, **fields)
+
+
 def run_distribution_dp(
     request: AnalysisRequest, **options: object
 ) -> AnalysisResult:
     """Exact error-magnitude DP (full PMF / joint MRED / interval WCE).
 
     Raises :class:`~repro.core.exceptions.SupportLimitError` when the
-    requested kind's DP support outgrows its guard -- the router rungs
-    (:func:`repro.runtime.router.plan_distribution_engine`) exist so
-    un-forced callers never see that.
+    requested kind's DP support outgrows its guard -- the ceilings of
+    :data:`DISTRIBUTION_LADDER` exist so routed callers rarely see
+    that.
     """
-    from ..core.magnitude import (
-        error_moments,
-        error_pmf,
-        joint_error_pmf,
-        relative_error_from_joint,
-        worst_case_error,
-    )
-
     cells = list(request.cells)
     pa, pb, pc = list(request.p_a), list(request.p_b), request.p_cin
     if request.kind == KIND_WCE:
         moments = error_moments(cells, None, pa, pb, pc)
         worst = worst_case_error(cells, None, pa, pb, pc)
-        from .backends import _chain_is_upper_bound
+        from .backends import _chain_is_upper_bound, chain_success
 
         return _result(
-            request, "distribution-dp", True,
-            _chain_error_probability(request),
+            request, "distribution-dp", True, 1.0 - chain_success(request),
             wce=worst.wce, mse=moments.second_moment, bias=moments.mean,
             is_upper_bound=_chain_is_upper_bound(request),
         )
     if request.kind == KIND_MRED:
-        joint = joint_error_pmf(cells, None, pa, pb, pc)
-        pmf: Dict[int, float] = {}
-        for (delta, _value), prob in joint.items():
-            pmf[delta] = pmf.get(delta, 0.0) + prob
-        fields, error_rate = _pmf_fields(pmf, request)
-        fields["mred"] = relative_error_from_joint(joint)
-        return _result(request, "distribution-dp", True, error_rate,
-                       **fields)
+        return _joint_result(request, "distribution-dp",
+                             joint_error_pmf(cells, None, pa, pb, pc))
     pmf = error_pmf(cells, None, pa, pb, pc)
     fields, error_rate = _pmf_fields(pmf, request)
     return _result(request, "distribution-dp", True, error_rate, **fields)
@@ -282,7 +249,8 @@ def run_distribution_dp_truncated(
         # The exact interval DP is linear-time at any width; truncation
         # would only make the answer worse.
         return run_distribution_dp(request, **options)
-    pmf = _quantized_error_pmf(request)
+    pmf = error_pmf(list(request.cells), None, list(request.p_a),
+                    list(request.p_b), request.p_cin, quantize=_quantize)
     fields, error_rate = _pmf_fields(pmf, request)
     return _result(request, "distribution-dp-truncated", False,
                    error_rate, **fields)
@@ -299,12 +267,7 @@ def run_distribution_exhaustive(
         list(request.p_a), list(request.p_b), request.p_cin,
         progress=options.get("progress"),
     )
-    fields, error_rate = _pmf_fields(report.pmf, request)
-    fields["bias"] = report.bias
-    if request.kind == KIND_MRED:
-        fields["mred"] = report.mred
-    return _result(request, "distribution-exhaustive", True, error_rate,
-                   cases=report.cases, **fields)
+    return _oracle_result(request, "distribution-exhaustive", report)
 
 
 def _mean_interval(
@@ -340,7 +303,6 @@ def run_distribution_mc(
     sampling bound -- the observed maximum is only a lower bound, and
     the result says so via ``exact=False``).
     """
-    from ..core.metrics import metrics_from_samples
     from ..simulation.montecarlo import simulate_samples
 
     samples = int(options.get("samples") or MC_DEFAULT_SAMPLES)  # type: ignore[arg-type]
@@ -350,18 +312,29 @@ def run_distribution_mc(
         samples=samples, seed=options.get("seed", 0),  # type: ignore[arg-type]
         progress=options.get("progress"),
     )
+    return _sampled_result(request, "distribution-mc", approx, exact_sums,
+                           samples)
+
+
+def _sampled_result(
+    request: AnalysisRequest,
+    engine: str,
+    approx: np.ndarray,
+    exact_sums: np.ndarray,
+    samples: int,
+) -> AnalysisResult:
+    """Magnitude metrics, 95% interval and (small-support) PMF of a
+    sampled run -- shared by ``distribution-mc`` and ``zoo-mc``."""
     quality = metrics_from_samples(approx, exact_sums, request.width)
     delta = approx - exact_sums
     abs_delta = np.abs(delta).astype(np.float64)
-    interval: Optional[Tuple[float, float]]
+    interval: Optional[Tuple[float, float]] = None
     if request.kind == KIND_MED:
         interval = _mean_interval(abs_delta)
     elif request.kind == KIND_MRED:
         interval = _mean_interval(abs_delta / np.maximum(exact_sums, 1))
     elif request.kind == KIND_ERROR_DISTRIBUTION:
         interval = _wilson_interval(quality.error_rate, samples)
-    else:
-        interval = None
     fields: Dict[str, object] = {
         "med": quality.med,
         "nmed": quality.nmed,
@@ -379,8 +352,7 @@ def run_distribution_mc(
                 (int(d), float(c) / samples)
                 for d, c in zip(uniques, counts)
             )
-    return _result(request, "distribution-mc", False, quality.error_rate,
-                   **fields)
+    return _result(request, engine, False, quality.error_rate, **fields)
 
 
 def register_distribution_engines() -> None:

@@ -3,10 +3,12 @@
 ``run`` is the single analysis entry point the CLI, ``explore/``,
 ``gear/``, ``multiop/`` and ``apps/`` call.  Engine selection is
 registry-driven: analytical questions default to the cheapest capable
-exact engine; ``simulate=True`` walks the
+exact engine; error-magnitude and zoo questions walk their ladder
+(:func:`repro.runtime.router.plan`); ``simulate=True`` walks the
 :mod:`repro.runtime.router` degradation ladder (exhaustive -> chunked ->
-Monte-Carlo), which itself reads cost estimates and width limits from
-the registry and stamps ``degraded_from`` provenance.
+Monte-Carlo) for chains and takes a ladder's last (sampling) rung
+otherwise.  The router reads cost estimates and width limits from the
+registry and stamps ``degraded_from`` provenance.
 
 ``run_batch`` turns N requests into as few vectorised
 ``analyze_batch`` calls as possible: chain requests sharing a cell
@@ -29,12 +31,7 @@ from ..obs import metrics as _metrics
 from ..obs.log import get_logger, log_event
 from ..obs.tracing import trace_span
 from ..runtime.budget import RunBudget, make_meter
-from ..runtime.router import (
-    EngineDecision,
-    plan_distribution_engine,
-    plan_engine,
-    plan_zoo_engine,
-)
+from ..runtime.router import EngineDecision, ladder_for, plan, plan_engine
 from . import backends
 from . import diskcache as _diskcache
 from . import segcache as _segcache
@@ -91,16 +88,12 @@ def select_engine(
     analytical engine.  Multi-operand questions degrade from exact
     enumeration to Monte-Carlo when the case count exceeds the
     enumerator's guard, recording ``degraded_from``.  Error-magnitude
-    questions (:data:`~repro.engine.request.DISTRIBUTION_KINDS`) walk
-    their own ladder,
-    :func:`repro.runtime.router.plan_distribution_engine`.
+    questions (:data:`~repro.engine.request.DISTRIBUTION_KINDS`) and
+    windowed-block (zoo) questions of any kind walk their ladder with
+    :func:`repro.runtime.router.plan`.
     """
-    if request.block is not None:
-        # Windowed-block (zoo) questions have their own ladder over the
-        # zoo-* engines, whatever the kind.
-        return plan_zoo_engine(request, budget, samples)
-    if request.kind in DISTRIBUTION_KINDS:
-        return plan_distribution_engine(request, budget, samples)
+    if ladder_for(request) is not None:
+        return plan(request, budget, samples)
     if request.kind == KIND_MULTIOP:
         cases = 1 << (len(request.operands) * request.width)
         if cases <= _MULTIOP_EXACT_CASES:
@@ -241,15 +234,12 @@ def run(
     decision: Optional[EngineDecision] = None
     if engine is None:
         if simulate:
-            if request.block is not None:
+            ladder = ladder_for(request)
+            if ladder is not None:
                 decision = EngineDecision(
-                    engine="zoo-mc",
-                    reason="simulate=True forces the sampling backend",
-                )
-            elif request.kind in DISTRIBUTION_KINDS:
-                decision = EngineDecision(
-                    engine="distribution-mc",
-                    reason="simulate=True forces the sampling backend",
+                    engine=ladder[-1].engine,
+                    reason="simulate=True forces the ladder's sampling "
+                           "rung",
                 )
             elif request.kind != KIND_CHAIN:
                 raise AnalysisError(
@@ -266,35 +256,13 @@ def run(
     else:
         engine_name = engine
 
-    if engine_name == _parallel.PARALLEL_EXHAUSTIVE:
-        # Sharded enumeration lives outside the registry: capability is
-        # the exhaustive engine's, execution is the process pool's.
-        if not REGISTRY.get("exhaustive").accepts(request):
-            raise AnalysisError(
-                f"engine {engine_name!r} cannot serve this request "
-                f"(kind={request.kind}, width={request.width})"
-            )
-        with _metrics.timed("engine.run"), \
-                _metrics.timed(f"engine.{engine_name}.seconds"), \
-                trace_span("engine.run", engine=engine_name,
-                           kind=request.kind, width=request.width):
-            result = _parallel.parallel_exhaustive(
-                request, jobs=jobs_n, budget=budget, progress=progress,
-            )
-        if _metrics.is_enabled():
-            _metrics.inc("engine.requests")
-            _metrics.inc(f"engine.selected.{engine_name}")
-        if decision is not None:
-            result = _stamp_decision(result, decision, engine_name)
-            log_event(_logger, "engine.run", engine=engine_name,
-                      kind=request.kind, width=request.width,
-                      degraded_from=decision.degraded_from)
-        return result
-
-    # "chunked-exhaustive" is a routing refinement of the exhaustive
-    # engine (same enumerator, block-wise); the registry runs it there.
-    lookup = ("exhaustive" if engine_name == "chunked-exhaustive"
-              else engine_name)
+    # "chunked-exhaustive" and "parallel-exhaustive" are routing
+    # refinements of the exhaustive engine (same enumerator, block-wise
+    # or sharded across a process pool): capability is the exhaustive
+    # engine's.
+    lookup = ("exhaustive" if engine_name in (
+        "chunked-exhaustive", _parallel.PARALLEL_EXHAUSTIVE)
+        else engine_name)
     info = REGISTRY.get(lookup)
     if not info.accepts(request):
         raise AnalysisError(
@@ -309,11 +277,16 @@ def run(
             _metrics.timed(f"engine.{engine_name}.seconds"), \
             trace_span("engine.run", engine=engine_name,
                        kind=request.kind, width=request.width):
-        result = info.run(
-            request, budget=budget, samples=samples, seed=seed,
-            checkpoint_path=checkpoint_path, resume=resume,
-            progress=progress, routed=bool(simulate),
-        )
+        if engine_name == _parallel.PARALLEL_EXHAUSTIVE:
+            result = _parallel.parallel_exhaustive(
+                request, jobs=jobs_n, budget=budget, progress=progress,
+            )
+        else:
+            result = info.run(
+                request, budget=budget, samples=samples, seed=seed,
+                checkpoint_path=checkpoint_path, resume=resume,
+                progress=progress, routed=bool(simulate),
+            )
     if _metrics.is_enabled():
         _metrics.inc("engine.requests")
         _metrics.inc(f"engine.selected.{engine_name}")

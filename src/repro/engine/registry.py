@@ -3,16 +3,18 @@
 Every analytical and simulation backend registers an
 :class:`EngineInfo` here (see :mod:`repro.engine.backends`).  Selection
 -- both the executor's default choice and the
-:mod:`repro.runtime.router` degradation ladder -- reads capabilities
+:mod:`repro.runtime.router` degradation ladders -- reads capabilities
 (``max_width``, ``exact``, ``supports_batch``) and the abstract
 ``cost_estimate(width, samples)`` from the registry instead of
-hard-coding per-backend thresholds.
+hard-coding per-backend thresholds.  Engine families with a routing
+ladder declare it as a tuple of :class:`Rung` next to their width
+constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core.exceptions import AnalysisError
 from .request import AnalysisRequest
@@ -74,6 +76,23 @@ class EngineInfo:
         if (block is not None) != self.supports_block:
             return False
         return True
+
+
+@dataclass(frozen=True)
+class Rung:
+    """One step of a routing ladder: an engine and its width ceilings.
+
+    Ladders are tuples of rungs, walked by
+    :func:`repro.runtime.router.plan`.  *ceilings* maps each request
+    kind the rung serves to the widest width it takes.  ``None`` means
+    any width, taken with no deadline check: the linear-time exact DPs,
+    and the sampler whose cost the budget caps through ``max_samples``.
+    A kind missing from the map is skipped, so the walker moves on to
+    the next rung.
+    """
+
+    engine: str
+    ceilings: Mapping[str, Optional[int]]
 
 
 class EngineRegistry:

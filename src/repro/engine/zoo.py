@@ -23,8 +23,8 @@ built on the monotone-carry-cut DP of :mod:`repro.core.adder_zoo`:
   :func:`~repro.core.adder_zoo.windowed_add_array`, with the same
   interval conventions as ``distribution-mc``.
 
-Engine selection goes through
-:func:`repro.runtime.router.plan_zoo_engine`, the block twin of the
+Engine selection walks :data:`ZOO_LADDER` with
+:func:`repro.runtime.router.plan`, the same walker that serves the
 distribution ladder.  Registration happens in
 :func:`repro.engine.backends.register_builtin_engines` like every other
 family.
@@ -32,8 +32,7 @@ family.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -48,13 +47,14 @@ from ..core.adder_zoo import (
     windowed_worst_case_error,
 )
 from ..core.exceptions import AnalysisError
-from ..core.magnitude import relative_error_from_joint
-from ..core.metrics import metrics_from_pmf, metrics_from_samples
 from .distribution import (
     MC_DEFAULT_SAMPLES,
-    MC_MAX_SUPPORT,
-    _mean_interval,
+    _joint_result,
+    _oracle_result,
+    _pmf_fields,
     _quantize,
+    _result,
+    _sampled_result,
     _wilson_interval,
 )
 from .registry import (
@@ -62,11 +62,13 @@ from .registry import (
     FAMILY_SIMULATION,
     REGISTRY,
     EngineInfo,
+    Rung,
 )
 from .request import (
     DISTRIBUTION_KINDS,
     KIND_CHAIN,
     KIND_ERROR_DISTRIBUTION,
+    KIND_MED,
     KIND_MRED,
     KIND_WCE,
     AnalysisRequest,
@@ -89,15 +91,25 @@ ZOO_MC_MAX_WIDTH = 62
 #: Request kinds the zoo family serves.
 ZOO_KINDS = (KIND_CHAIN,) + DISTRIBUTION_KINDS
 
-
-def zoo_exact_width_limit(kind: str) -> Optional[int]:
-    """Widest block request ``zoo-dp`` serves exactly for *kind*
-    (``None`` = any width: ER and WCE run linear-time DPs)."""
-    if kind in (KIND_CHAIN, KIND_WCE):
-        return None
-    if kind == KIND_MRED:
-        return ZOO_MRED_EXACT_MAX_WIDTH
-    return ZOO_EXACT_MAX_WIDTH
+#: The routing ladder over this family, walked by
+#: :func:`repro.runtime.router.plan`.  ``chain`` (P(error)) and ``wce``
+#: never degrade: the monotone-carry-cut ER DP and the interval DP are
+#: linear-time exact at any width.  ``mred`` skips the truncated rung
+#: (no mass-preserving joint truncation).
+ZOO_LADDER = (
+    Rung("zoo-dp", {
+        KIND_CHAIN: None,
+        KIND_ERROR_DISTRIBUTION: ZOO_EXACT_MAX_WIDTH,
+        KIND_MED: ZOO_EXACT_MAX_WIDTH,
+        KIND_MRED: ZOO_MRED_EXACT_MAX_WIDTH,
+        KIND_WCE: None,
+    }),
+    Rung("zoo-dp-truncated", {
+        KIND_ERROR_DISTRIBUTION: ZOO_TRUNCATED_MAX_WIDTH,
+        KIND_MED: ZOO_TRUNCATED_MAX_WIDTH,
+    }),
+    Rung("zoo-mc", dict.fromkeys(ZOO_KINDS)),
+)
 
 
 def _block(request: AnalysisRequest) -> WindowedAdderSpec:
@@ -110,78 +122,36 @@ def _block(request: AnalysisRequest) -> WindowedAdderSpec:
     return spec
 
 
-def _zoo_result(
-    request: AnalysisRequest,
-    engine: str,
-    exact: bool,
-    p_error: float,
-    **fields: object,
-) -> AnalysisResult:
-    p_error = min(1.0, max(0.0, float(p_error)))
-    return AnalysisResult(
-        p_error=p_error,
-        p_success=1.0 - p_error,
-        engine=engine,
-        exact=exact,
-        width=request.width,
-        kind=request.kind,
-        cell_names=request.cell_names,
-        **fields,  # type: ignore[arg-type]
-    )
-
-
-def _pmf_fields(
-    pmf: Dict[int, float], request: AnalysisRequest
-) -> Tuple[Dict[str, object], float]:
-    """(MED/NMED/MSE/WCE/bias fields, error rate) from a delta law."""
-    quality = metrics_from_pmf(pmf, request.width)
-    fields: Dict[str, object] = {
-        "med": quality.med,
-        "nmed": quality.nmed,
-        "mse": quality.mse,
-        "wce": quality.wce,
-        "bias": float(sum(d * p for d, p in pmf.items())),
-    }
-    if request.kind == KIND_ERROR_DISTRIBUTION:
-        fields["distribution"] = tuple(sorted(pmf.items()))
-    return fields, quality.error_rate
-
-
 def run_zoo_dp(
     request: AnalysisRequest, **options: object
 ) -> AnalysisResult:
     """Exact monotone-carry-cut DP over the request's windowed spec.
 
     Raises :class:`~repro.core.exceptions.SupportLimitError` when the
-    kind's DP support outgrows its guard; the router rungs exist so
-    un-forced callers never see that.
+    kind's DP support outgrows its guard; the ceilings of
+    :data:`ZOO_LADDER` exist so routed callers rarely see that.
     """
     spec = _block(request)
     pa, pb = request.p_a, request.p_b
     if request.kind == KIND_CHAIN:
-        return _zoo_result(
+        return _result(
             request, "zoo-dp", True,
             windowed_error_probability(spec, pa, pb),
         )
     if request.kind == KIND_WCE:
         moments = windowed_error_moments(spec, pa, pb)
         worst = windowed_worst_case_error(spec, pa, pb)
-        return _zoo_result(
+        return _result(
             request, "zoo-dp", True,
             windowed_error_probability(spec, pa, pb),
             wce=worst.wce, mse=moments.second_moment, bias=moments.mean,
         )
     if request.kind == KIND_MRED:
-        joint = windowed_joint_error_pmf(spec, pa, pb)
-        pmf: Dict[int, float] = {}
-        for (delta, _value), prob in joint.items():
-            pmf[delta] = pmf.get(delta, 0.0) + prob
-        fields, error_rate = _pmf_fields(pmf, request)
-        fields["mred"] = relative_error_from_joint(joint)
-        return _zoo_result(request, "zoo-dp", True, error_rate, **fields)
+        return _joint_result(request, "zoo-dp",
+                             windowed_joint_error_pmf(spec, pa, pb))
     pmf = windowed_error_pmf(spec, pa, pb)
     fields, error_rate = _pmf_fields(pmf, request)
-    return _zoo_result(request, "zoo-dp", True, error_rate, **fields)
+    return _result(request, "zoo-dp", True, error_rate, **fields)
 
 
 def run_zoo_dp_truncated(
@@ -206,8 +176,8 @@ def run_zoo_dp_truncated(
     pmf = windowed_error_pmf(spec, request.p_a, request.p_b,
                              quantize=_quantize)
     fields, error_rate = _pmf_fields(pmf, request)
-    return _zoo_result(request, "zoo-dp-truncated", False, error_rate,
-                       **fields)
+    return _result(request, "zoo-dp-truncated", False, error_rate,
+                   **fields)
 
 
 def run_zoo_exhaustive(
@@ -217,16 +187,11 @@ def run_zoo_exhaustive(
     the bit-true functional model."""
     spec = _block(request)
     report = windowed_exhaustive_quality(spec, request.p_a, request.p_b)
-    error_rate = sum(p for d, p in report.pmf.items() if d != 0)
     if request.kind == KIND_CHAIN:
-        return _zoo_result(request, "zoo-exhaustive", True, error_rate,
-                           cases=report.cases)
-    fields, error_rate = _pmf_fields(report.pmf, request)
-    fields["bias"] = report.bias
-    if request.kind == KIND_MRED:
-        fields["mred"] = report.mred
-    return _zoo_result(request, "zoo-exhaustive", True, error_rate,
-                       cases=report.cases, **fields)
+        error_rate = sum(p for d, p in report.pmf.items() if d != 0)
+        return _result(request, "zoo-exhaustive", True, error_rate,
+                       cases=report.cases)
+    return _oracle_result(request, "zoo-exhaustive", report)
 
 
 def _sample_operands(
@@ -255,44 +220,14 @@ def run_zoo_mc(
     b = _sample_operands(request.p_b, samples, rng)
     approx = windowed_add_array(spec, a, b)
     exact_sums = a + b
-    delta = approx - exact_sums
-    error_rate = float((delta != 0).mean())
     if request.kind == KIND_CHAIN:
-        return _zoo_result(
+        error_rate = float((approx != exact_sums).mean())
+        return _result(
             request, "zoo-mc", False, error_rate,
             samples=samples,
             interval=_wilson_interval(error_rate, samples),
         )
-    quality = metrics_from_samples(approx, exact_sums, request.width)
-    abs_delta = np.abs(delta).astype(np.float64)
-    interval: Optional[Tuple[float, float]]
-    if request.kind == KIND_MRED:
-        interval = _mean_interval(abs_delta / np.maximum(exact_sums, 1))
-    elif request.kind == KIND_ERROR_DISTRIBUTION:
-        interval = _wilson_interval(quality.error_rate, samples)
-    elif request.kind == KIND_WCE:
-        interval = None
-    else:
-        interval = _mean_interval(abs_delta)
-    fields: Dict[str, object] = {
-        "med": quality.med,
-        "nmed": quality.nmed,
-        "mse": quality.mse,
-        "wce": quality.wce,
-        "mred": quality.mred,
-        "bias": float(delta.mean()),
-        "samples": samples,
-        "interval": interval,
-    }
-    if request.kind == KIND_ERROR_DISTRIBUTION:
-        uniques, counts = np.unique(delta, return_counts=True)
-        if uniques.size <= MC_MAX_SUPPORT:
-            fields["distribution"] = tuple(
-                (int(d), float(c) / samples)
-                for d, c in zip(uniques, counts)
-            )
-    return _zoo_result(request, "zoo-mc", False, quality.error_rate,
-                       **fields)
+    return _sampled_result(request, "zoo-mc", approx, exact_sums, samples)
 
 
 def register_zoo_engines() -> None:

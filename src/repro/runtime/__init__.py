@@ -11,7 +11,8 @@ Everything a multi-hour run needs to survive the real world:
   bit-identical (RNG bit-generator state travels with the counts);
 * :mod:`~repro.runtime.router` -- graceful degradation from exhaustive
   enumeration to chunked enumeration to Monte-Carlo when the budget
-  cannot afford the exact oracle, recorded in provenance;
+  cannot afford the exact oracle, and one walker (:func:`plan`) over
+  the error-magnitude and zoo ladders, recorded in provenance;
 * :mod:`~repro.runtime.validation` -- opt-in cross-check of the
   analytical recursion against a budgeted simulation (Wilson score
   interval), raising :class:`~repro.core.exceptions.ValidationError`
@@ -54,9 +55,9 @@ from .router import (
     ENGINE_EXHAUSTIVE,
     ENGINE_MONTECARLO,
     EngineDecision,
-    RoutedResult,
+    ladder_for,
+    plan,
     plan_engine,
-    resilient_error_probability,
 )
 from .validation import (
     VALIDATION_SAMPLE_COUNT,
@@ -78,9 +79,9 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "EngineDecision",
-    "RoutedResult",
+    "ladder_for",
+    "plan",
     "plan_engine",
-    "resilient_error_probability",
     "ENGINE_EXHAUSTIVE",
     "ENGINE_CHUNKED_EXHAUSTIVE",
     "ENGINE_MONTECARLO",

@@ -1,10 +1,10 @@
-"""Graceful degradation: route an error-probability query to the best
-engine the budget can afford.
+"""Graceful degradation: route a query to the best engine the budget
+can afford.
 
 The paper's Fig. 1 story -- exhaustive simulation explodes as
 ``2^(2N+1)`` while cheaper estimators stay flat -- becomes an
-operational decision here.  :func:`plan_engine` walks the degradation
-ladder
+operational decision here.  :func:`plan_engine` walks the P(error)
+simulation ladder
 
     exhaustive (one block)  ->  chunked exhaustive  ->  Monte-Carlo
 
@@ -18,39 +18,31 @@ rung down instead of erroring or hanging.  Every downgrade is recorded
 in the result's provenance manifest (``degraded_from``), so a number
 produced by a fallback engine can never masquerade as the exact oracle.
 
-:func:`resilient_error_probability` is now a deprecated shim over
-:func:`repro.engine.run` with ``simulate=True``, which executes the plan
-and threads the budget (and optional checkpointing) into the chosen
-engine.
+:func:`plan` walks the ladders declared as data
+(:class:`~repro.engine.registry.Rung` tuples): the error-magnitude
+ladder over cell chains and the zoo ladder over windowed-block adders.
+Both go exact DP -> truncated DP -> sampling, each rung bounded by
+per-kind width ceilings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .._compat import warn_deprecated
-from ..core.exceptions import AnalysisError
+from ..core.exceptions import AnalysisError, RefusalError
 from ..obs import metrics as _metrics
-from ..obs.log import get_logger, log_event
 from .budget import RunBudget
+
+if TYPE_CHECKING:
+    from ..engine.registry import EngineRegistry, Rung
+    from ..engine.request import AnalysisRequest
 
 ENGINE_EXHAUSTIVE = "exhaustive"
 ENGINE_CHUNKED_EXHAUSTIVE = "chunked-exhaustive"
 ENGINE_PARALLEL_EXHAUSTIVE = "parallel-exhaustive"
 ENGINE_MONTECARLO = "montecarlo"
-
-#: The error-magnitude ladder's rungs (see
-#: :mod:`repro.engine.distribution`).
-ENGINE_DISTRIBUTION_DP = "distribution-dp"
-ENGINE_DISTRIBUTION_DP_TRUNCATED = "distribution-dp-truncated"
-ENGINE_DISTRIBUTION_MC = "distribution-mc"
-
-#: The windowed-block (adder zoo) ladder's rungs (see
-#: :mod:`repro.engine.zoo`).
-ENGINE_ZOO_DP = "zoo-dp"
-ENGINE_ZOO_DP_TRUNCATED = "zoo-dp-truncated"
-ENGINE_ZOO_MC = "zoo-mc"
 
 #: Conservative enumeration throughput (cases/second) used to judge
 #: whether a deadline can afford exhaustive enumeration at all.  Kept
@@ -59,8 +51,6 @@ ENGINE_ZOO_MC = "zoo-mc"
 #: Real machines do better; underestimating only degrades earlier,
 #: which is the safe direction.
 CASES_PER_SECOND_ESTIMATE = 2_000_000
-
-_logger = get_logger("runtime.router")
 
 
 @dataclass(frozen=True)
@@ -179,227 +169,90 @@ def plan_engine(
     ))
 
 
-def plan_distribution_engine(
-    request: object,
+@lru_cache(maxsize=None)
+def _routing_data() -> Tuple["EngineRegistry",
+                             Tuple[Tuple["Rung", ...], ...]]:
+    """The registry and the ladders, imported once (the engine package
+    imports this module, so the import has to wait for first use; by
+    then the package has registered its engines)."""
+    from ..engine.distribution import DISTRIBUTION_LADDER
+    from ..engine.registry import REGISTRY
+    from ..engine.zoo import ZOO_LADDER
+
+    return REGISTRY, (DISTRIBUTION_LADDER, ZOO_LADDER)
+
+
+def ladder_for(request: "AnalysisRequest") -> Optional[Tuple["Rung", ...]]:
+    """The routing ladder whose first rung accepts *request*, if any.
+
+    The ladders are data, declared next to their engines' width
+    constants: :data:`repro.engine.distribution.DISTRIBUTION_LADDER`
+    (error-magnitude kinds over cell chains) and
+    :data:`repro.engine.zoo.ZOO_LADDER` (every kind over windowed-block
+    adders).
+    """
+    registry, ladders = _routing_data()
+    for ladder in ladders:
+        if registry.get(ladder[0].engine).accepts(request):
+            return ladder
+    return None
+
+
+def plan(
+    request: "AnalysisRequest",
     budget: Optional[RunBudget] = None,
     samples: Optional[int] = None,
 ) -> EngineDecision:
-    """Route an error-*magnitude* question down its own ladder.
+    """Walk the request's ladder to the first rung that can answer it.
 
-    Preference order: exact full-support DP (``distribution-dp``),
-    truncated-support DP (``distribution-dp-truncated``: deltas kept at
-    :data:`~repro.engine.distribution.QUANT_BITS` significant bits --
-    mass-preserving, so ER stays exact and MED/MSE drift is bounded),
-    Monte-Carlo (``distribution-mc``: seeded sampling with
-    Wilson/normal intervals).  Three kinds bend the ladder:
-
-    * ``wce`` never degrades -- the interval DP is linear-time exact at
-      any width, so the first rung always answers;
-    * ``mred`` skips the truncated rung -- the joint ``(delta, exact)``
-      DP has no mass-preserving truncation, so past the exact guard the
-      answer comes from sampling;
-    * a deadline too short even for the truncated DP's estimated cost
-      drops straight to Monte-Carlo.
-
-    Width limits and cost estimates come from the engines' registry
-    metadata, exactly like :func:`plan_engine`.
+    A rung is taken when it serves the request's kind, the width fits
+    the kind's ceiling, the estimated cost fits the budget's deadline
+    (a ``None`` ceiling skips both checks), and the engine's
+    ``accepts()`` holds -- so the router never picks an engine that
+    refuses the request.  ``degraded_from`` names the last rung passed
+    over that serves the kind; a sampling rung (one with
+    ``default_samples``) gets *samples*, clamped to the budget's
+    ``max_samples``.  Raises :class:`~repro.core.exceptions.RefusalError`
+    when no ladder or no rung accepts the request.
     """
-    from ..engine.backends import register_builtin_engines
-    from ..engine.distribution import exact_width_limit
-    from ..engine.registry import REGISTRY
-    from ..engine.request import KIND_MRED, KIND_WCE
-
-    register_builtin_engines()
-    width = request.width  # type: ignore[attr-defined]
-    kind = request.kind  # type: ignore[attr-defined]
-    if width < 1:
-        raise AnalysisError(f"width must be >= 1, got {width}")
-
-    mc = REGISTRY.get(ENGINE_DISTRIBUTION_MC)
-    mc_samples = (samples if samples is not None
-                  else mc.default_samples or 1)
-    if budget is not None and budget.max_samples is not None:
-        mc_samples = min(mc_samples, budget.max_samples)
-
-    def affordable(engine_name: str) -> bool:
-        if budget is None or budget.deadline_s is None:
-            return True
-        info = REGISTRY.get(engine_name)
-        cost = info.cost_estimate(width, None)
-        return cost <= budget.deadline_s * info.ops_per_second
-
-    limit = exact_width_limit(kind)
-    if kind == KIND_WCE:
-        # Exact at any width in O(width): nothing to degrade to.
-        return _record_decision(EngineDecision(
-            engine=ENGINE_DISTRIBUTION_DP,
-            reason="the interval DP answers WCE exactly at any width",
-        ))
-    if (limit is None or width <= limit) \
-            and affordable(ENGINE_DISTRIBUTION_DP):
-        return _record_decision(EngineDecision(
-            engine=ENGINE_DISTRIBUTION_DP,
-            reason=f"width {width} fits the exact DP's support guard "
-                   f"(limit {limit})",
-        ))
-    from ..engine.distribution import DIST_TRUNCATED_MAX_WIDTH
-
-    if kind != KIND_MRED and width <= DIST_TRUNCATED_MAX_WIDTH \
-            and affordable(ENGINE_DISTRIBUTION_DP_TRUNCATED):
-        return _record_decision(EngineDecision(
-            engine=ENGINE_DISTRIBUTION_DP_TRUNCATED,
-            reason=f"width {width} exceeds the exact DP's support guard "
-                   f"({limit}); truncated-support DP keeps ER exact "
-                   "with bounded MED/MSE drift",
-            degraded_from=ENGINE_DISTRIBUTION_DP,
-        ))
-    why = ("the joint (delta, exact) DP has no mass-preserving "
-           "truncation" if kind == KIND_MRED
-           else "the DP rungs are unaffordable past the truncated "
-                f"guard ({DIST_TRUNCATED_MAX_WIDTH}) or deadline")
-    return _record_decision(EngineDecision(
-        engine=ENGINE_DISTRIBUTION_MC,
-        reason=f"width {width} exceeds the exact limit ({limit}) and "
-               f"{why}; sampling with interval bounds",
-        degraded_from=(ENGINE_DISTRIBUTION_DP if kind == KIND_MRED
-                       else ENGINE_DISTRIBUTION_DP_TRUNCATED),
-        samples=mc_samples,
-    ))
-
-
-def plan_zoo_engine(
-    request: object,
-    budget: Optional[RunBudget] = None,
-    samples: Optional[int] = None,
-) -> EngineDecision:
-    """Route a windowed-block (adder zoo) question down its ladder.
-
-    The block twin of :func:`plan_distribution_engine`, over the
-    ``zoo-*`` engines of :mod:`repro.engine.zoo`:
-
-    * ``chain`` (P(error)) and ``wce`` never degrade -- the
-      monotone-carry-cut ER DP and the interval DP are linear-time
-      exact at any width;
-    * ``mred`` degrades straight from the exact joint DP to sampling
-      (no mass-preserving joint truncation);
-    * ``med``/``error_distribution`` walk exact DP -> truncated DP ->
-      Monte-Carlo exactly like the distribution ladder.
-    """
-    from ..engine.backends import register_builtin_engines
-    from ..engine.registry import REGISTRY
-    from ..engine.request import KIND_CHAIN, KIND_MRED, KIND_WCE
-    from ..engine.zoo import ZOO_TRUNCATED_MAX_WIDTH, zoo_exact_width_limit
-
-    register_builtin_engines()
-    width = request.width  # type: ignore[attr-defined]
-    kind = request.kind  # type: ignore[attr-defined]
-    if width < 1:
-        raise AnalysisError(f"width must be >= 1, got {width}")
-
-    mc = REGISTRY.get(ENGINE_ZOO_MC)
-    mc_samples = (samples if samples is not None
-                  else mc.default_samples or 1)
-    if budget is not None and budget.max_samples is not None:
-        mc_samples = min(mc_samples, budget.max_samples)
-
-    def affordable(engine_name: str) -> bool:
-        if budget is None or budget.deadline_s is None:
-            return True
-        info = REGISTRY.get(engine_name)
-        cost = info.cost_estimate(width, None)
-        return cost <= budget.deadline_s * info.ops_per_second
-
-    limit = zoo_exact_width_limit(kind)
-    if kind in (KIND_CHAIN, KIND_WCE):
-        # Linear-time exact DPs at any width: nothing to degrade to.
-        return _record_decision(EngineDecision(
-            engine=ENGINE_ZOO_DP,
-            reason="the cut DP answers ER/WCE exactly at any width",
-        ))
-    if (limit is None or width <= limit) and affordable(ENGINE_ZOO_DP):
-        return _record_decision(EngineDecision(
-            engine=ENGINE_ZOO_DP,
-            reason=f"width {width} fits the exact cut DP's support "
-                   f"guard (limit {limit})",
-        ))
-    if kind != KIND_MRED and width <= ZOO_TRUNCATED_MAX_WIDTH \
-            and affordable(ENGINE_ZOO_DP_TRUNCATED):
-        return _record_decision(EngineDecision(
-            engine=ENGINE_ZOO_DP_TRUNCATED,
-            reason=f"width {width} exceeds the exact cut DP's support "
-                   f"guard ({limit}); truncated-support DP keeps ER "
-                   "exact with bounded MED/MSE drift",
-            degraded_from=ENGINE_ZOO_DP,
-        ))
-    why = ("the joint (delta, exact) DP has no mass-preserving "
-           "truncation" if kind == KIND_MRED
-           else "the DP rungs are unaffordable past the truncated "
-                f"guard ({ZOO_TRUNCATED_MAX_WIDTH}) or deadline")
-    return _record_decision(EngineDecision(
-        engine=ENGINE_ZOO_MC,
-        reason=f"width {width} exceeds the exact limit ({limit}) and "
-               f"{why}; sampling with interval bounds",
-        degraded_from=(ENGINE_ZOO_DP if kind == KIND_MRED
-                       else ENGINE_ZOO_DP_TRUNCATED),
-        samples=mc_samples,
-    ))
-
-
-@dataclass(frozen=True)
-class RoutedResult:
-    """An engine result plus the routing decision that produced it."""
-
-    decision: EngineDecision
-    result: object
-
-    @property
-    def p_error(self) -> float:
-        return self.result.p_error  # type: ignore[attr-defined]
-
-    @property
-    def truncated(self) -> bool:
-        return bool(getattr(self.result, "truncated", False))
-
-
-def resilient_error_probability(
-    cell: object,
-    width: Optional[int] = None,
-    p_a: object = 0.5,
-    p_b: object = 0.5,
-    p_cin: float = 0.5,
-    budget: Optional[RunBudget] = None,
-    samples: Optional[int] = None,
-    seed: Optional[int] = 0,
-    checkpoint_path: Optional[str] = None,
-    resume: bool = False,
-    progress: Optional[object] = None,
-) -> RoutedResult:
-    """Compute ``P(Error)`` with the strongest engine the budget affords.
-
-    .. deprecated::
-        Call ``repro.engine.run(cell, width, ..., simulate=True)``
-        instead; the routed decision lands on the result as
-        ``engine`` / ``reason`` / ``degraded_from`` and the
-        backend-native report as ``raw``.
-
-    Routes per :func:`plan_engine`, threads the budget and optional
-    checkpointing into the chosen engine, and stamps the downgrade (if
-    any) into the result's provenance manifest.  Never hangs on an
-    absurd width and never errors merely because the exact oracle is
-    unaffordable -- the answer degrades to an estimate instead.
-    """
-    warn_deprecated("runtime.router.resilient_error_probability",
-                    "repro.engine.run(..., simulate=True)")
-    from .. import engine as _engine
-
-    request = _engine.AnalysisRequest.chain(cell, width, p_a, p_b, p_cin)
-    decision = plan_engine(request.width, budget, samples)
-    log_event(_logger, "router.decision", engine=decision.engine,
-              degraded_from=decision.degraded_from, width=request.width,
-              reason=decision.reason)
-    answer = _engine.run(
-        request=request, simulate=True, budget=budget, samples=samples,
-        seed=seed, checkpoint_path=checkpoint_path, resume=resume,
-        progress=progress,
-    )
-    return RoutedResult(decision=decision, result=answer.raw)
+    registry, _ = _routing_data()
+    width, kind = request.width, request.kind
+    passed: Optional[str] = None
+    skipped: List[str] = []
+    for rung in ladder_for(request) or ():
+        if kind not in rung.ceilings:
+            continue
+        info = registry.get(rung.engine)
+        ceiling = rung.ceilings[kind]
+        if ceiling is not None and width > ceiling:
+            skipped.append(f"width {width} is past {rung.engine}'s "
+                           f"support guard ({ceiling})")
+        elif ceiling is not None and budget is not None \
+                and budget.deadline_s is not None \
+                and info.cost_estimate(width, None) \
+                > budget.deadline_s * info.ops_per_second:
+            skipped.append(f"{rung.engine} cannot meet the "
+                           f"{budget.deadline_s:g}s deadline")
+        elif not info.accepts(request):
+            if info.max_width is not None and width > info.max_width:
+                skipped.append(f"width {width} is past {rung.engine}'s "
+                               f"max_width ({info.max_width})")
+            else:
+                skipped.append(f"{rung.engine} does not accept it")
+        else:
+            rung_samples = None
+            if info.default_samples is not None:
+                rung_samples = (samples if samples is not None
+                                else info.default_samples)
+                if budget is not None and budget.max_samples is not None:
+                    rung_samples = min(rung_samples, budget.max_samples)
+            return _record_decision(EngineDecision(
+                engine=rung.engine,
+                reason="; ".join(skipped + [
+                    f"{rung.engine} serves {kind!r} at width {width}"]),
+                degraded_from=passed,
+                samples=rung_samples,
+            ))
+        passed = rung.engine
+    raise RefusalError("; ".join(
+        [f"no engine serves {kind!r} at width {width}"] + skipped))

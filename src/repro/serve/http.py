@@ -10,12 +10,13 @@ A deliberately small HTTP/1.1 implementation -- request line, headers,
 ``GET /metrics``          obs metrics snapshot + service/cache statistics
 ========================  =====================================================
 
-Error mapping: parse failures are 400, per-client admission refusals
-and queue overload are 429 with a ``Retry-After`` header, expired
-deadlines are 504, and a draining server or an open circuit breaker
-answers 503 (breaker refusals also carry ``Retry-After``).  Every
-``Retry-After`` value passes :func:`format_retry_after`, which clamps
-it positive and finite.  See ``docs/serving.md`` for the operator
+Error mapping: parse failures are 400, a typed engine refusal
+(:class:`~repro.core.exceptions.RefusalError`) is 422, per-client
+admission refusals and queue overload are 429 with a ``Retry-After``
+header, expired deadlines are 504, and a draining server or an open
+circuit breaker answers 503 (breaker refusals also carry
+``Retry-After``).  Every ``Retry-After`` value passes
+:func:`format_retry_after`, which clamps it positive and finite.  See ``docs/serving.md`` for the operator
 guide and ``docs/robustness.md`` for the failure-path contracts.
 
 :class:`AnalysisServer` hosts the service either *inside* an existing
@@ -35,6 +36,7 @@ import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import engine
+from ..core.exceptions import RefusalError
 from ..obs import metrics as _metrics
 from ..obs.accesslog import AccessLog
 from ..obs.correlate import new_request_id, use_request_id
@@ -93,8 +95,9 @@ def format_retry_after(seconds: object) -> str:
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable", 504: "Gateway Timeout",
+    422: "Unprocessable Entity", 429: "Too Many Requests",
+    500: "Internal Server Error", 503: "Service Unavailable",
+    504: "Gateway Timeout",
 }
 
 
@@ -531,6 +534,8 @@ class AnalysisServer:
                 doc, self._admission_key(request)), ()
         except RequestParseError as exc:
             raise _HttpError(400, str(exc)) from exc
+        except RefusalError as exc:
+            raise _HttpError(422, str(exc)) from exc
         except OverloadedError as exc:
             raise _HttpError(
                 429, str(exc),
@@ -573,6 +578,8 @@ class AnalysisServer:
                 results.append(outcome)
             elif isinstance(outcome, RequestParseError):
                 results.append(_error_doc(400, str(outcome)))
+            elif isinstance(outcome, RefusalError):
+                results.append(_error_doc(422, str(outcome)))
             elif isinstance(outcome, OverloadedError):
                 refused += 1
                 results.append(_error_doc(429, str(outcome)))

@@ -26,7 +26,9 @@ Engine dispatch is additionally wrapped in a
 consecutive dispatch failures open it; 503 + ``Retry-After`` upstream
 while open) and a failed *multi-request* batch is isolated: each member
 re-runs alone, so one poisoned request costs only its own client a 500
-instead of failing every batch-mate.
+instead of failing every batch-mate.  A typed
+:class:`~repro.core.exceptions.RefusalError` (422 upstream) is an
+answer about the request, so it never counts as a breaker failure.
 
 Obs metrics: ``serve.enqueued`` / ``serve.shed`` / ``serve.expired`` /
 ``serve.batches`` / ``serve.batched_requests`` /
@@ -43,7 +45,7 @@ import functools
 from typing import Dict, List, Optional
 
 from .. import engine
-from ..core.exceptions import AnalysisError, ReproError
+from ..core.exceptions import AnalysisError, RefusalError, ReproError
 from ..engine.request import AnalysisRequest, AnalysisResult
 from ..obs import metrics as _metrics
 from ..obs.correlate import current_request_id, use_request_id
@@ -478,7 +480,8 @@ class AnalysisService:
             with _metrics.timed("serve.batch_seconds"):
                 results = await loop.run_in_executor(None, runner)
         except Exception as exc:  # engine bug: fail the batch, not the server
-            self.breaker.record_failure()
+            if not isinstance(exc, RefusalError):
+                self.breaker.record_failure()
             log_event(_logger, "serve.batch.failed",
                       size=len(live), error=repr(exc))
             if len(live) > 1:
@@ -552,7 +555,8 @@ class AnalysisService:
             try:
                 results = await loop.run_in_executor(None, runner)
             except Exception as exc:
-                self.breaker.record_failure()
+                if not isinstance(exc, RefusalError):
+                    self.breaker.record_failure()
                 if not pending.future.done():
                     pending.future.set_exception(exc)
                 continue

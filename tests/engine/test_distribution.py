@@ -8,13 +8,14 @@ result cache and the serving layer.
 """
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import engine
-from repro.core.exceptions import AnalysisError
+from repro.core.exceptions import AnalysisError, RefusalError
 from repro.engine.diskcache import (
     cacheable_result,
     payload_from_result,
@@ -23,8 +24,10 @@ from repro.engine.diskcache import (
 )
 from repro.engine.distribution import (
     DIST_EXACT_MAX_WIDTH,
+    DIST_TRUNCATED_MAX_WIDTH,
+    DISTRIBUTION_LADDER,
     MRED_EXACT_MAX_WIDTH,
-    exact_width_limit,
+    QUANT_BITS,
 )
 from repro.engine.request import (
     DISTRIBUTION_KINDS,
@@ -35,7 +38,7 @@ from repro.engine.request import (
     AnalysisRequest,
 )
 from repro.runtime.budget import RunBudget
-from repro.runtime.router import plan_distribution_engine
+from repro.runtime.router import plan
 from repro.simulation.exhaustive import exhaustive_quality
 
 
@@ -137,6 +140,25 @@ class TestWideWidths:
         mom = error_moments("LPAA 1", 32, 0.5, 0.5, 0.5)
         assert result.mse == pytest.approx(mom.second_moment, rel=1e-2)
 
+    def test_truncated_rung_never_trips_the_support_guard(self):
+        # Deltas keep QUANT_BITS significant bits, so at the rung's
+        # ceiling each carry state holds at most this many distinct
+        # values -- far below error_pmf's 2M-entry guard at any cell and
+        # any probabilities.  One dense case confirms it end to end.
+        bits = DIST_TRUNCATED_MAX_WIDTH + 1
+        per_state = 1 + 2 * (2 ** QUANT_BITS
+                             + (bits - QUANT_BITS) * 2 ** (QUANT_BITS - 1))
+        assert 4 * per_state < 2_000_000
+        rng = random.Random(5)
+        p_a = [rng.random() for _ in range(DIST_TRUNCATED_MAX_WIDTH)]
+        p_b = [rng.random() for _ in range(DIST_TRUNCATED_MAX_WIDTH)]
+        result = engine.run(AnalysisRequest.distribution(
+            "LPAA 5", DIST_TRUNCATED_MAX_WIDTH, p_a, p_b, rng.random(),
+            kind=KIND_ERROR_DISTRIBUTION))
+        assert result.engine == "distribution-dp-truncated"
+        assert 0 < len(result.distribution) <= per_state
+        assert sum(p for _, p in result.distribution) == pytest.approx(1.0)
+
     def test_mc_interval_contains_truncated_dp_med_at_32_bits(self):
         dp = engine.run("LPAA 1", 32, kind=KIND_MED)
         mc = engine.run("LPAA 1", 32, kind=KIND_MED,
@@ -153,44 +175,40 @@ class TestRouterLadder:
         return AnalysisRequest.distribution("LPAA 1", width, kind=kind)
 
     def test_exact_dp_inside_the_guard(self):
-        decision = plan_distribution_engine(self._req(DIST_EXACT_MAX_WIDTH))
+        decision = plan(self._req(DIST_EXACT_MAX_WIDTH))
         assert decision.engine == "distribution-dp"
         assert decision.degraded_from is None
 
     def test_truncated_rung_past_the_guard(self):
-        decision = plan_distribution_engine(
-            self._req(DIST_EXACT_MAX_WIDTH + 1))
+        decision = plan(self._req(DIST_EXACT_MAX_WIDTH + 1))
         assert decision.engine == "distribution-dp-truncated"
         assert decision.degraded_from == "distribution-dp"
 
     def test_mc_past_the_truncated_guard(self):
-        decision = plan_distribution_engine(self._req(48))
+        decision = plan(self._req(48))
         assert decision.engine == "distribution-mc"
         assert decision.degraded_from == "distribution-dp-truncated"
         assert decision.samples is not None
 
     def test_wce_never_degrades(self):
         for width in (8, 32, 64, 128):
-            decision = plan_distribution_engine(
-                self._req(width, kind=KIND_WCE))
+            decision = plan(self._req(width, kind=KIND_WCE))
             assert decision.engine == "distribution-dp"
 
     def test_mred_skips_the_truncated_rung(self):
-        assert exact_width_limit(KIND_MRED) == MRED_EXACT_MAX_WIDTH
-        decision = plan_distribution_engine(
-            self._req(MRED_EXACT_MAX_WIDTH + 1, kind=KIND_MRED))
+        exact, truncated, _ = DISTRIBUTION_LADDER
+        assert exact.ceilings[KIND_MRED] == MRED_EXACT_MAX_WIDTH
+        assert KIND_MRED not in truncated.ceilings
+        decision = plan(self._req(MRED_EXACT_MAX_WIDTH + 1, kind=KIND_MRED))
         assert decision.engine == "distribution-mc"
         assert decision.degraded_from == "distribution-dp"
 
     def test_tight_deadline_drops_to_sampling(self):
-        decision = plan_distribution_engine(
-            self._req(30), budget=RunBudget(deadline_s=1e-9),
-        )
+        decision = plan(self._req(30), budget=RunBudget(deadline_s=1e-9))
         assert decision.engine == "distribution-mc"
 
     def test_budget_clamps_samples(self):
-        decision = plan_distribution_engine(
-            self._req(48), budget=RunBudget(max_samples=1234))
+        decision = plan(self._req(48), budget=RunBudget(max_samples=1234))
         assert decision.samples == 1234
 
     def test_truncated_engine_refuses_mred(self):

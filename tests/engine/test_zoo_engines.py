@@ -2,8 +2,8 @@
 
 Cross-validates every windowed zoo member against weighted enumeration
 for every request kind (bit-identical at dyadic probabilities), pins
-the ``plan_zoo_engine`` degradation ladder, and exercises block
-requests through ``run()``/``run_batch()``, the two-way
+the ``ZOO_LADDER`` walked by ``plan``, and exercises block requests
+through ``run()``/``run_batch()``, the two-way
 ``supports_block`` capability gate, the persistent result cache and
 the Monte-Carlo fallback.
 """
@@ -24,12 +24,12 @@ from repro.engine.diskcache import (
 from repro.engine.request import AnalysisRequest, DISTRIBUTION_KINDS
 from repro.engine.zoo import (
     ZOO_EXACT_MAX_WIDTH,
+    ZOO_LADDER,
     ZOO_MRED_EXACT_MAX_WIDTH,
     ZOO_TRUNCATED_MAX_WIDTH,
-    zoo_exact_width_limit,
 )
 from repro.runtime.budget import RunBudget
-from repro.runtime.router import plan_zoo_engine
+from repro.runtime.router import plan
 
 WIDTH = 8
 ALL_KINDS = ("chain",) + DISTRIBUTION_KINDS
@@ -83,43 +83,43 @@ class TestRouterLadder:
     def test_chain_and_wce_always_get_the_exact_dp(self):
         wide = f"aca1:{ZOO_TRUNCATED_MAX_WIDTH + 8}:4"
         for kind in ("chain", "wce"):
-            decision = plan_zoo_engine(AnalysisRequest.zoo(wide, kind=kind))
+            decision = plan(AnalysisRequest.zoo(wide, kind=kind))
             assert decision.engine == "zoo-dp"
             assert decision.degraded_from is None
 
     def test_pmf_kinds_inside_the_guard_get_the_exact_dp(self):
-        decision = plan_zoo_engine(
-            AnalysisRequest.zoo("aca1:8:4", kind="med"))
+        decision = plan(AnalysisRequest.zoo("aca1:8:4", kind="med"))
         assert decision.engine == "zoo-dp"
 
     def test_pmf_kinds_past_the_guard_degrade_to_truncated(self):
         wide = f"aca1:{ZOO_EXACT_MAX_WIDTH + 4}:4"
-        decision = plan_zoo_engine(AnalysisRequest.zoo(wide, kind="med"))
+        decision = plan(AnalysisRequest.zoo(wide, kind="med"))
         assert decision.engine == "zoo-dp-truncated"
         assert decision.degraded_from == "zoo-dp"
 
     def test_mred_skips_the_truncated_rung(self):
         wide = f"aca1:{ZOO_MRED_EXACT_MAX_WIDTH + 4}:4"
-        decision = plan_zoo_engine(AnalysisRequest.zoo(wide, kind="mred"))
+        decision = plan(AnalysisRequest.zoo(wide, kind="mred"))
         assert decision.engine == "zoo-mc"
 
     def test_past_the_truncated_guard_samples(self):
         wide = f"aca1:{ZOO_TRUNCATED_MAX_WIDTH + 8}:4"
-        decision = plan_zoo_engine(AnalysisRequest.zoo(wide, kind="med"))
+        decision = plan(AnalysisRequest.zoo(wide, kind="med"))
         assert decision.engine == "zoo-mc"
 
     def test_tight_deadline_drops_to_sampling(self):
-        decision = plan_zoo_engine(
+        decision = plan(
             AnalysisRequest.zoo("aca1:16:4", kind="med"),
             budget=RunBudget(deadline_s=1e-9),
         )
         assert decision.engine == "zoo-mc"
 
     def test_exact_width_limits(self):
-        assert zoo_exact_width_limit("chain") is None
-        assert zoo_exact_width_limit("wce") is None
-        assert zoo_exact_width_limit("mred") == ZOO_MRED_EXACT_MAX_WIDTH
-        assert zoo_exact_width_limit("med") == ZOO_EXACT_MAX_WIDTH
+        exact = ZOO_LADDER[0].ceilings
+        assert exact["chain"] is None
+        assert exact["wce"] is None
+        assert exact["mred"] == ZOO_MRED_EXACT_MAX_WIDTH
+        assert exact["med"] == ZOO_EXACT_MAX_WIDTH
 
 
 class TestCapabilityGate:

@@ -148,6 +148,61 @@ class TestHttpErrors:
             server.stop()
 
 
+class TestRefusals:
+    """A typed refusal is a 422 with its message, never a 500, and never
+    a strike against the engine circuit breaker."""
+
+    #: No rung of the zoo ladder serves a PMF kind past the sampler's
+    #: 62-bit lanes, so the router refuses it.
+    UNSERVABLE = {"adder": "aca1:63:4", "kind": "med"}
+
+    @pytest.fixture
+    def strict_server(self):
+        # One counted failure would open this breaker.
+        instance = AnalysisServer(ServeConfig(
+            port=0, batch_window_s=0.002, breaker_failures=1))
+        instance.start()
+        yield instance
+        instance.stop()
+
+    def test_analyze_maps_the_refusal_to_422(self, strict_server):
+        status, doc, _ = _fetch(strict_server.base_url + "/v1/analyze",
+                                self.UNSERVABLE)
+        assert status == 422
+        assert doc["error"]["code"] == 422
+        assert "no engine serves 'med' at width 63" \
+            in doc["error"]["message"]
+        assert strict_server.service.breaker.state == "closed"
+        status, _, _ = _fetch(strict_server.base_url + "/v1/analyze",
+                              {"cell": "LPAA 1", "width": 8})
+        assert status == 200
+
+    def test_batch_maps_the_refusal_to_422_per_item(self, strict_server):
+        status, doc, _ = _fetch(
+            strict_server.base_url + "/v1/analyze_batch",
+            {"requests": [self.UNSERVABLE, {"cell": "LPAA 2", "width": 4}]},
+        )
+        assert status == 200
+        refused, answered = doc["results"]
+        assert refused["error"]["code"] == 422
+        assert answered["p_error"] > 0
+        assert strict_server.service.breaker.state == "closed"
+
+    def test_support_limit_error_is_422(self, strict_server, monkeypatch):
+        from repro.core.exceptions import SupportLimitError
+
+        def outgrown(*args, **kwargs):
+            raise SupportLimitError("support outgrew its guard", width=12)
+
+        monkeypatch.setattr(engine, "run_batch", outgrown)
+        status, doc, _ = _fetch(strict_server.base_url + "/v1/analyze",
+                                {"cell": "LPAA 3", "width": 12,
+                                 "kind": "mred"})
+        assert status == 422
+        assert doc["error"]["message"] == "support outgrew its guard"
+        assert strict_server.service.breaker.state == "closed"
+
+
 class TestLoadShedding:
     def test_overload_sheds_with_429_and_retry_after(self, monkeypatch):
         real_run_batch = engine.run_batch
