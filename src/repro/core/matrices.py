@@ -27,8 +27,8 @@ from .truth_table import FullAdderTruthTable
 
 MaskRow = Tuple[int, int, int, int, int, int, int, int]
 
-# Fingerprint-keyed memos (same keying convention as the stage-matrix
-# LRU: the eight (sum, cout) truth-table rows identify a cell exactly).
+# Fingerprint-keyed memos (the eight (sum, cout) truth-table rows
+# identify a cell exactly, whatever its name).
 # Sweeps lower the same handful of cells millions of times -- the masks
 # are pure functions of the rows, so recomputing them per call is pure
 # waste.  Unbounded on purpose: there are at most 4^8 distinct tables,

@@ -49,10 +49,9 @@ from .recursive import CellSpec, resolve_chain
 from .truth_table import FullAdderTruthTable
 from .types import validate_probability, validate_probability_vector
 
-#: Decimal digits kept when quantising probabilities into content keys
-#: (the library-wide convention shared with ``engine.cache`` and the
-#: disk result store -- see QUANT_DIGITS there; duplicated as a literal
-#: to keep core free of engine imports).
+#: Decimal digits kept when quantising probabilities into content keys:
+#: the one library-wide constant, shared by the segment tier and the
+#: disk result store (:mod:`repro.engine.diskcache`).
 KEY_QUANT_DIGITS = 12
 
 
@@ -131,7 +130,7 @@ def leaf_key(table: FullAdderTruthTable, p_a: float, p_b: float) -> str:
     """Content address of a single-stage segment.
 
     Probabilities are quantised to :data:`KEY_QUANT_DIGITS` decimal
-    digits -- the library-wide keying convention (stage-matrix LRU, disk
+    digits -- the library-wide keying convention (shared with the disk
     result store), well below the 1e-12 parity tolerance of the
     analytical engines.
     """
@@ -153,7 +152,7 @@ def lower_stage(
     """Lower one ``(cell, P(A), P(B))`` stage to its exact transfer map.
 
     Expands the M/K/L mask contraction of
-    :func:`repro.engine.cache._build_transition` in dyadic integers: the
+    :func:`repro.engine.cache.stage_transition` in dyadic integers: the
     four operand-pair weights ``(q_a q_b, q_a p_b, p_a q_b, p_a p_b)``
     are brought to one common denominator, then routed to the ``T`` rows
     (K mask -> row 0, M mask -> row 1) and the ``l`` functional by carry

@@ -244,8 +244,8 @@ def error_by_width(
     """``1 - success_by_width(...)``: Fig. 5's error curves.
 
     .. deprecated::
-        Use ``repro.engine.error_curves`` instead; same values, shared
-        stage-matrix cache, obs counters under ``engine.*``.
+        Use ``repro.engine.error_curves`` instead; same values, obs
+        counters under ``engine.*``.
     """
     warn_deprecated("core.vectorized.error_by_width",
                     "repro.engine.error_curves")

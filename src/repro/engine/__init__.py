@@ -8,8 +8,10 @@ backend in the library:
 * :mod:`repro.engine.registry` -- capability metadata and abstract cost
   estimates per backend, consumed by both the default selector and the
   :mod:`repro.runtime.router` degradation ladder;
-* :mod:`repro.engine.cache` -- the process-wide stage-matrix LRU keyed
-  by (cell truth-table fingerprint, quantized operand probabilities);
+* :mod:`repro.engine.cache` -- the stage transitions of the paper's
+  recursion, contracted directly from per-cell memoised mask
+  coefficients (no probability-keyed cache, so answers never depend on
+  what ran before);
 * :mod:`repro.engine.diskcache` -- the opt-in persistent result tier:
   an in-memory result LRU over a content-addressed on-disk store shared
   across processes and restarts (``configure_result_cache``);
@@ -24,7 +26,7 @@ Typical use::
 
     from repro import engine
 
-    result = engine.run("axa3", 8, p_a=0.3)        # analytical, cached
+    result = engine.run("axa3", 8, p_a=0.3)        # analytical
     result = engine.run("axa3", 24, simulate=True)  # routed simulation
     curves = engine.error_curves("axa2", 16)
 
@@ -37,18 +39,7 @@ top of ``core``, ``simulation``, ``baselines``, ``gear`` and
 ``circuits``, ``apps`` and the CLI.
 """
 
-from .cache import (
-    GLOBAL_CACHE,
-    CacheStats,
-    StageMatrixCache,
-    StageTransition,
-    analysis_matrices,
-    cache_stats,
-    clear_cache,
-    configure_cache,
-    mask_arrays,
-    stage_transition,
-)
+from .cache import StageTransition, mask_arrays, stage_transition
 from .diskcache import (
     DEFAULT_MEMORY_ENTRIES,
     STORE_FORMAT,
@@ -126,7 +117,6 @@ from .parallel import (
 __all__ = [
     "AnalysisRequest",
     "AnalysisResult",
-    "CacheStats",
     "DEFAULT_MEMORY_ENTRIES",
     "DiskResultStore",
     "DiskSegmentStore",
@@ -144,7 +134,6 @@ __all__ = [
     "Rung",
     "FAMILY_ANALYTICAL",
     "FAMILY_SIMULATION",
-    "GLOBAL_CACHE",
     "DISTRIBUTION_KINDS",
     "DIST_EXACT_MAX_WIDTH",
     "DIST_TRUNCATED_MAX_WIDTH",
@@ -176,13 +165,8 @@ __all__ = [
     "register_distribution_engines",
     "register_zoo_engines",
     "REGISTRY",
-    "StageMatrixCache",
     "StageTransition",
-    "analysis_matrices",
     "budget_allows_parallel",
-    "cache_stats",
-    "clear_cache",
-    "configure_cache",
     "configure_segment_cache",
     "disable_segment_cache",
     "get_segment_cache",

@@ -33,11 +33,11 @@ from .request import (
     AnalysisResult,
 )
 
-#: Abstract cost units per recursion stage (scalar path, cache warm).
+#: Abstract cost units per recursion stage (scalar path).
 _STAGE_COST = 8.0
 
 #: NumPy dispatch overhead of a batch=1 vectorised call, in the same
-#: units.  Keeps the cached scalar loop the default for single-point
+#: units.  Keeps the scalar loop the default for single-point
 #: requests while ``run_batch`` feeds the vectorised engine directly.
 _VECTOR_OVERHEAD = 400.0
 
@@ -102,7 +102,7 @@ def _chain_result(
 
 def chain_success(request: AnalysisRequest) -> float:
     """Unclamped word-level P(success) of the request's chain: the
-    paper's Algorithm 1 over cached stage transitions."""
+    paper's Algorithm 1 over directly built stage transitions."""
     cells = request.cells
     pa, pb = request.p_a, request.p_b
     c1 = request.p_cin
@@ -113,7 +113,7 @@ def chain_success(request: AnalysisRequest) -> float:
 
 
 def run_recursive(request: AnalysisRequest, **options: object) -> AnalysisResult:
-    """Scalar recursion over cached stage transitions (Algorithm 1)."""
+    """Scalar recursion over stage transitions (Algorithm 1)."""
     if request.keep_trace:
         from ..core.recursive import analyze_chain
 
@@ -124,7 +124,7 @@ def run_recursive(request: AnalysisRequest, **options: object) -> AnalysisResult
                              "recursive", True,
                              trace=native.trace, raw=native)
     n = len(request.cells)
-    # Cache-accelerated execution of the same recursion as
+    # Transition-based execution of the same recursion as
     # ``core.recursive.analyze_chain``; it honours that function's
     # observability contract (span + calls/stages counters) so existing
     # dashboards keep working regardless of which path served the run.
@@ -169,7 +169,7 @@ def run_transfer(request: AnalysisRequest, **options: object) -> AnalysisResult:
 
 
 def run_vectorized(request: AnalysisRequest, **options: object) -> AnalysisResult:
-    """Single-point entry of the NumPy batch engine (cache-fed masks)."""
+    """Single-point entry of the NumPy batch engine (memoised masks)."""
     from ..core.vectorized import analyze_batch
 
     cells = list(request.cells)
@@ -374,7 +374,7 @@ def register_builtin_engines() -> None:
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
         run=run_recursive, supports_trace=True, parallel_safe=True,
         cost_estimate=lambda width, samples=None: _STAGE_COST * width,
-        description="paper Algorithm 1 over cached stage transitions",
+        description="paper Algorithm 1 over stage transitions",
     ))
     REGISTRY.register(EngineInfo(
         name="transfer", family=FAMILY_ANALYTICAL,
@@ -390,7 +390,7 @@ def register_builtin_engines() -> None:
         run=run_vectorized, supports_batch=True, parallel_safe=True,
         cost_estimate=lambda width, samples=None: (
             _VECTOR_OVERHEAD + 12.0 * width),
-        description="NumPy batch recursion (cache-fed mask arrays)",
+        description="NumPy batch recursion (memoised mask arrays)",
     ))
     REGISTRY.register(EngineInfo(
         name="correlated", family=FAMILY_ANALYTICAL,

@@ -1,60 +1,50 @@
-"""Process-wide stage-matrix cache.
+"""Stage transitions of the paper's recursion (Algorithm 1, Eqs. 10-12).
 
 The recursion's per-stage work factors into two pieces: deriving the
 cell's M/K/L analysis masks from its truth table, and contracting them
 with the stage's operand probabilities into the 2x2 success-carry
 transition ``v_next = T v`` plus the final functional ``l`` (see
-:mod:`repro.explore.hybrid_search` for the derivation).  Both pieces
-depend only on ``(cell truth table, P(A_i), P(B_i))`` -- and sweeps,
-design-space exploration, hybrid search and repeated service queries hit
-the *same* handful of combinations thousands of times.
+:mod:`repro.explore.hybrid_search` for the derivation).
 
-This module memoises them process-wide:
+Only the first piece is memoised.  Per truth table (keyed on its eight
+``(sum, cout)`` rows, never on the cell name) this module keeps:
 
-* :func:`analysis_matrices` / :func:`mask_arrays` -- the M/K/L masks per
-  truth-table fingerprint (and their NumPy form for the vectorised
-  engine);
-* :func:`stage_transition` -- the contracted :class:`StageTransition`
-  per ``(fingerprint, quantized P(A), quantized P(B))``, LRU-bounded.
+* the 0/1 coefficient of each operand-pair weight in each transition
+  entry, which :func:`stage_transition` contracts with the stage's
+  probabilities -- a handful of multiply-adds, cheaper than any lookup
+  keyed on the probabilities;
+* :func:`mask_arrays`, the masks' NumPy form for the vectorised engine.
 
-Probabilities are quantized to :data:`QUANT_DIGITS` decimal digits for
-key stability (well below the 1e-12 parity tolerance of the analytical
-engines).  Hit/miss totals are always tracked locally (cheap integers)
-and mirrored into :mod:`repro.obs` counters
-(``engine.cache.hits`` / ``engine.cache.misses`` /
-``engine.cache.size``) when metrics collection is enabled.
+Both memos are unbounded, like :mod:`repro.core.matrices`' own: at most
+``4**8`` distinct tables exist.  :func:`stage_transition` is a pure
+function of its arguments, so a chain's answer never depends on what
+ran before it in the process.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
-from ..core.matrices import AnalysisMatrices, derive_matrices
+from ..core.matrices import derive_matrices
 from ..core.truth_table import FullAdderTruthTable
-from ..obs import metrics as _metrics
 
-#: Decimal digits kept when quantizing probabilities into cache keys.
-QUANT_DIGITS = 12
+_Rows = Tuple[Tuple[int, int], ...]
+_Coefficients = Tuple[Tuple[float, float, float, float], ...]
 
-#: Default LRU capacity (distinct ``(cell, P(A), P(B))`` combinations).
-#: A 64-point x 64-point probability grid over the full 8-cell library
-#: fits with room to spare; at ~200 bytes per entry the worst case is a
-#: few tens of MB.
-DEFAULT_CAPACITY = 65536
+_COEFFICIENTS: Dict[_Rows, _Coefficients] = {}
+_ARRAYS: Dict[_Rows, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-@dataclass(frozen=True)
-class StageTransition:
+class StageTransition(NamedTuple):
     """One stage's contracted update on ``v = (P(C̄∩Succ), P(C∩Succ))``.
 
     ``apply`` advances the state through a non-final stage
     (K mask -> row 0, M mask -> row 1); ``success`` contracts the state
-    entering the *final* stage with the L-mask functional.
+    entering the *final* stage with the L-mask functional.  A named
+    tuple because one is built per stage of every chain, and tuple
+    construction is about half the cost of a frozen dataclass's.
     """
 
     t00: float
@@ -84,224 +74,60 @@ class StageTransition:
         return (self.l0, self.l1)
 
 
-def _build_transition(
-    mkl: AnalysisMatrices, p_a: float, p_b: float
-) -> StageTransition:
-    """Contract the M/K/L masks with one stage's operand probabilities."""
-    qa, qb = 1.0 - p_a, 1.0 - p_b
-    pair = (qa * qb, qa * p_b, p_a * qb, p_a * p_b)
-    t00 = t01 = t10 = t11 = l0 = l1 = 0.0
-    for row in range(8):
-        weight = pair[row >> 1]  # (a<<1 | b) indexes the pair products
-        cin = row & 1
-        if mkl.k[row]:
-            if cin:
-                t01 += weight
-            else:
-                t00 += weight
-        if mkl.m[row]:
-            if cin:
-                t11 += weight
-            else:
-                t10 += weight
-        if mkl.l[row]:
-            if cin:
-                l1 += weight
-            else:
-                l0 += weight
-    return StageTransition(t00, t01, t10, t11, l0, l1)
+def _coefficients(table: FullAdderTruthTable) -> _Coefficients:
+    """Coefficient of each pair weight in ``t00, t01, t10, t11, l0, l1``.
 
-
-@dataclass(frozen=True)
-class CacheStats:
-    """Point-in-time cache statistics (also exported via obs metrics)."""
-
-    hits: int
-    misses: int
-    size: int
-    capacity: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class StageMatrixCache:
-    """LRU cache of stage transitions keyed by
-    ``(truth-table fingerprint, quantized P(A), quantized P(B))``.
-
-    ``capacity=0`` disables memoisation entirely (every lookup computes
-    and counts as a miss) -- the cold baseline of
-    ``benchmarks/bench_engine_cache.py``.  Thread-safe; the derived
-    M/K/L masks are cached un-evicted per fingerprint (the cell library
-    is tiny: at most ``4**8`` distinct tables exist).
+    Row ``(a<<2 | b<<1 | cin)`` of the truth table carries the pair
+    weight indexed ``a<<1 | b``, and its carry-in picks the column: the
+    K mask feeds ``t0*``, M feeds ``t1*`` and L feeds ``l*``.
     """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self._capacity = capacity
-        self._lock = threading.Lock()
-        self._transitions = OrderedDict()  # type: OrderedDict[tuple, StageTransition]
-        self._matrices = {}  # type: Dict[tuple, AnalysisMatrices]
-        self._arrays = {}  # type: Dict[tuple, Tuple[np.ndarray, np.ndarray, np.ndarray]]
-        self._hits = 0
-        self._misses = 0
-
-    @staticmethod
-    def fingerprint(table: FullAdderTruthTable) -> tuple:
-        """Identity of a cell for caching: its eight ``(sum, cout)`` rows.
-
-        Deliberately *not* the cell name -- two differently-named tables
-        with identical rows share cache entries, and ad-hoc tables (for
-        example faulted variants) are cached without registration.
-        """
-        return table.rows
-
-    def analysis_matrices(self, table: FullAdderTruthTable) -> AnalysisMatrices:
-        """Cached :func:`repro.core.matrices.derive_matrices`."""
-        key = table.rows
-        with self._lock:
-            mkl = self._matrices.get(key)
-            if mkl is not None:
-                return mkl
+    rows = table.rows
+    coefficients = _COEFFICIENTS.get(rows)
+    if coefficients is None:
         mkl = derive_matrices(table)
-        with self._lock:
-            self._matrices.setdefault(key, mkl)
-        return mkl
-
-    def mask_arrays(
-        self, table: FullAdderTruthTable
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached ``(m, k, l)`` float arrays for the vectorised engine."""
-        key = table.rows
-        with self._lock:
-            arrays = self._arrays.get(key)
-            if arrays is not None:
-                return arrays
-        arrays = self.analysis_matrices(table).as_arrays()
-        with self._lock:
-            self._arrays.setdefault(key, arrays)
-        return arrays
-
-    def stage_transition(
-        self, table: FullAdderTruthTable, p_a: float, p_b: float
-    ) -> StageTransition:
-        """The (possibly cached) contracted transition for one stage."""
-        key = (table.rows,
-               round(float(p_a), QUANT_DIGITS),
-               round(float(p_b), QUANT_DIGITS))
-        if self._capacity:
-            # Counter read-modify-writes happen only while holding the
-            # LRU lock; the obs mirror is updated after release so the
-            # cache lock never nests inside the metrics locks.
-            with self._lock:
-                cached = self._transitions.get(key)
-                if cached is not None:
-                    self._transitions.move_to_end(key)
-                    self._hits += 1
-            if cached is not None:
-                if _metrics.is_enabled():
-                    _metrics.inc("engine.cache.hits")
-                return cached
-        transition = _build_transition(
-            self.analysis_matrices(table), float(p_a), float(p_b)
+        coefficients = tuple(
+            tuple(float(mask[(pair << 1) | cin]) for pair in range(4))
+            for mask in (mkl.k, mkl.m, mkl.l)
+            for cin in (0, 1)
         )
-        with self._lock:
-            self._misses += 1
-            if self._capacity:
-                self._transitions[key] = transition
-                self._transitions.move_to_end(key)
-                while len(self._transitions) > self._capacity:
-                    self._transitions.popitem(last=False)
-            size = len(self._transitions)
-        if _metrics.is_enabled():
-            _metrics.inc("engine.cache.misses")
-            _metrics.set_gauge("engine.cache.size", size)
-        return transition
-
-    def merge_stats(self, hits: int = 0, misses: int = 0) -> None:
-        """Fold external hit/miss deltas into this cache's totals.
-
-        :mod:`repro.engine.parallel` workers serve lookups from their
-        own per-process cache; their per-chunk deltas are merged here so
-        ``stats()`` and the ``engine.cache.*`` obs counters describe the
-        whole run, not just the parent process.
-        """
-        if hits < 0 or misses < 0:
-            raise ValueError(
-                f"stat deltas must be >= 0, got hits={hits} misses={misses}"
-            )
-        if not (hits or misses):
-            return
-        with self._lock:
-            self._hits += hits
-            self._misses += misses
-        if _metrics.is_enabled():
-            if hits:
-                _metrics.inc("engine.cache.hits", hits)
-            if misses:
-                _metrics.inc("engine.cache.misses", misses)
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(hits=self._hits, misses=self._misses,
-                              size=len(self._transitions),
-                              capacity=self._capacity)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        with self._lock:
-            self._transitions.clear()
-            self._matrices.clear()
-            self._arrays.clear()
-            self._hits = 0
-            self._misses = 0
-
-    def configure(self, capacity: int) -> None:
-        """Resize (0 disables caching); existing entries are trimmed."""
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        with self._lock:
-            self._capacity = capacity
-            while len(self._transitions) > capacity:
-                self._transitions.popitem(last=False)
-
-
-#: The process-wide cache every engine path shares.
-GLOBAL_CACHE = StageMatrixCache()
+        _COEFFICIENTS[rows] = coefficients  # type: ignore[assignment]
+    return coefficients  # type: ignore[return-value]
 
 
 def stage_transition(
     table: FullAdderTruthTable, p_a: float, p_b: float
 ) -> StageTransition:
-    """Module-level shortcut into :data:`GLOBAL_CACHE`."""
-    return GLOBAL_CACHE.stage_transition(table, p_a, p_b)
+    """The contracted transition of one stage with cell *table*.
 
-
-def analysis_matrices(table: FullAdderTruthTable) -> AnalysisMatrices:
-    """Module-level shortcut into :data:`GLOBAL_CACHE`."""
-    return GLOBAL_CACHE.analysis_matrices(table)
+    Each entry is a 4-term sum over the pair weights
+    ``(qa·qb, qa·pb, pa·qb, pa·pb)`` in ascending pair order.  A 0/1
+    coefficient either drops a weight exactly or keeps it exactly, so
+    the sums are bit-identical to accumulating the weights of the mask's
+    rows in row order.
+    """
+    p_a, p_b = float(p_a), float(p_b)
+    q_a, q_b = 1.0 - p_a, 1.0 - p_b
+    w0, w1, w2, w3 = q_a * q_b, q_a * p_b, p_a * q_b, p_a * p_b
+    # Unrolled: this runs once per stage of every chain.
+    ((a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3),
+     (d0, d1, d2, d3), (e0, e1, e2, e3), (f0, f1, f2, f3)) = \
+        _coefficients(table)
+    return StageTransition(
+        a0 * w0 + a1 * w1 + a2 * w2 + a3 * w3,
+        b0 * w0 + b1 * w1 + b2 * w2 + b3 * w3,
+        c0 * w0 + c1 * w1 + c2 * w2 + c3 * w3,
+        d0 * w0 + d1 * w1 + d2 * w2 + d3 * w3,
+        e0 * w0 + e1 * w1 + e2 * w2 + e3 * w3,
+        f0 * w0 + f1 * w1 + f2 * w2 + f3 * w3,
+    )
 
 
 def mask_arrays(
     table: FullAdderTruthTable,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Module-level shortcut into :data:`GLOBAL_CACHE`."""
-    return GLOBAL_CACHE.mask_arrays(table)
-
-
-def cache_stats() -> CacheStats:
-    """Statistics of the process-wide cache."""
-    return GLOBAL_CACHE.stats()
-
-
-def clear_cache() -> None:
-    """Empty the process-wide cache (tests, cold benchmarks)."""
-    GLOBAL_CACHE.clear()
-
-
-def configure_cache(capacity: int) -> None:
-    """Resize the process-wide cache; ``0`` disables memoisation."""
-    GLOBAL_CACHE.configure(capacity)
+    """Memoised ``(m, k, l)`` float arrays for the vectorised engine."""
+    rows = table.rows
+    arrays = _ARRAYS.get(rows)
+    if arrays is None:
+        arrays = _ARRAYS[rows] = derive_matrices(table).as_arrays()
+    return arrays

@@ -15,8 +15,7 @@ registry and stamps ``degraded_from`` provenance.
 sequence are stacked into one ``(batch, width)`` grid, chunked at
 :data:`BATCH_CHUNK` rows with a :class:`~repro.runtime.budget.BudgetMeter`
 checked between chunks.  ``engine.batch.*`` obs counters report group
-count and vectorised occupancy; ``engine.cache.*`` the stage-matrix
-cache hit rate.
+count and vectorised occupancy.
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ Design points (see ``docs/parallelism.md`` for the full narrative):
 * **Serialisation boundary** -- workers receive only truth-table
   fingerprints (the eight ``(sum, cout)`` rows plus the cell name) and
   plain float probability vectors.  Stage matrices, transitions and
-  NumPy grids are never pickled; each worker rebuilds them through its
-  own process-local stage-matrix cache.
+  NumPy grids are never pickled; each worker rebuilds them itself.
 * **Bit identity** -- a worker chunk re-enters the very same serial
   code path (``executor.run_batch`` for analytical groups,
   ``executor.run`` for forced-engine singles), so per-request results
@@ -24,10 +23,10 @@ Design points (see ``docs/parallelism.md`` for the full narrative):
 * **Work stealing** -- requests are cut into many more chunks than
   workers (:data:`OVERSUBSCRIBE` per worker), so an uneven chunk cannot
   idle the pool; the executor's queue is the work-stealing deque.
-* **Cache merging** -- each chunk reports its stage-matrix LRU
-  hit/miss delta; the parent folds it into the process-wide cache via
-  :meth:`~repro.engine.cache.StageMatrixCache.merge_stats`, keeping the
-  ``engine.cache.*`` counters whole-run-accurate.
+* **Cache merging** -- each chunk reports its segment-tier hit/miss
+  delta; the parent folds it into its own segment cache via
+  :meth:`~repro.engine.segcache.SegmentCache.merge_stats`, keeping the
+  ``engine.cache.segment.*`` counters whole-run-accurate.
 * **Budgets** -- deadlines are enforced cooperatively: every chunk
   carries a derived deadline-only budget, and the parent cancels
   pending chunks the moment its own meter expires, so overshoot is
@@ -60,7 +59,6 @@ from ..runtime.budget import (
     make_meter,
 )
 from . import segcache as _segcache
-from .cache import GLOBAL_CACHE
 from .registry import REGISTRY
 from .request import KIND_CHAIN, AnalysisRequest, AnalysisResult
 
@@ -168,7 +166,7 @@ def _run_chunk(payload: Dict[str, object]) -> Dict[str, object]:
     re-enters the *serial* executor -- ``run_batch`` for analytical
     groups, ``run`` per request when engine/simulate options are forced
     -- so results are bit-identical to a serial run.  Returns results
-    plus the chunk's stage-matrix cache delta, its metric-registry delta
+    plus the chunk's segment-tier cache delta, its metric-registry delta
     and (optionally) its span trees for parent-side merging.
     """
     from contextlib import ExitStack
@@ -195,7 +193,6 @@ def _run_chunk(payload: Dict[str, object]) -> Dict[str, object]:
     seg_cache = _segcache.get_segment_cache()
     seg_before = (seg_cache.stats()["memory"]
                   if seg_cache is not None else None)
-    before = GLOBAL_CACHE.stats()
 
     def compute() -> List[Optional[AnalysisResult]]:
         if options:
@@ -234,7 +231,6 @@ def _run_chunk(payload: Dict[str, object]) -> Dict[str, object]:
                 trace_span("engine.parallel.chunk",
                            requests=len(requests), pid=os.getpid()))
         results = compute()
-    after = GLOBAL_CACHE.stats()
     segment_hits = segment_misses = 0
     if seg_cache is not None and seg_before is not None:
         seg_after = seg_cache.stats()["memory"]
@@ -243,13 +239,11 @@ def _run_chunk(payload: Dict[str, object]) -> Dict[str, object]:
                           - int(seg_before["misses"]))  # type: ignore[arg-type]
     return {
         "results": results,
-        "hits": after.hits - before.hits,
-        "misses": after.misses - before.misses,
         "segment_hits": segment_hits,
         "segment_misses": segment_misses,
-        # engine.cache.* counters travel with the hit/miss delta above
-        # (merge_stats mirrors them); exporting them here too would
-        # double-count.
+        # engine.cache.segment.* counters travel with the segment delta
+        # above (merge_stats mirrors them); exporting them here too
+        # would double-count.
         "metrics": (worker_registry.export_state(
             exclude_prefixes=("engine.cache.",))
             if worker_registry is not None else None),
@@ -321,7 +315,6 @@ def _tradeoff_weight(payload: Dict[str, object]) -> Dict[str, object]:
 
     t0 = time.perf_counter()
     cells = _rebuild_cells(payload["cells"])  # type: ignore[arg-type]
-    before = GLOBAL_CACHE.stats()
     result = optimal_hybrid(
         list(cells), int(payload["width"]),  # type: ignore[arg-type]
         list(payload["p_a"]), list(payload["p_b"]),  # type: ignore[call-overload]
@@ -329,12 +322,9 @@ def _tradeoff_weight(payload: Dict[str, object]) -> Dict[str, object]:
         power_weight=float(payload["weight"]),  # type: ignore[arg-type]
         power_model=PowerModel(),
     )
-    after = GLOBAL_CACHE.stats()
     return {
         "result": result,
         "weight": payload["weight"],
-        "hits": after.hits - before.hits,
-        "misses": after.misses - before.misses,
         "pid": os.getpid(),
         "elapsed_s": time.perf_counter() - t0,
     }
@@ -414,12 +404,9 @@ class _PoolRun:
                     offset_s=max(0.0, offset))
 
     def merge_cache(self, out: Dict[str, object]) -> None:
-        GLOBAL_CACHE.merge_stats(int(out.get("hits", 0)),  # type: ignore[arg-type]
-                                 int(out.get("misses", 0)))  # type: ignore[arg-type]
-        # Segment-tier deltas ride the same lock path, keeping the
-        # engine.cache.segment.* counters whole-run-accurate after a
-        # parallel fan-out (chunks from pre-segment-cache workers, and
-        # the tradeoff/exhaustive shards, simply ship no delta).
+        # Folding segment-tier deltas keeps the engine.cache.segment.*
+        # counters whole-run-accurate after a parallel fan-out (chunks
+        # from pre-segment-cache workers simply ship no delta).
         seg_cache = _segcache.get_segment_cache()
         if seg_cache is not None:
             seg_cache.merge_stats(
@@ -430,7 +417,7 @@ class _PoolRun:
     def merge_metrics(self, out: Dict[str, object]) -> None:
         """Fold a chunk's metric-registry delta into the parent registry
         (counters add; timer/histogram bucket counts add exactly), the
-        same parent-side folding as the stage-matrix cache delta."""
+        same parent-side folding as the segment-tier cache delta."""
         state = out.get("metrics")
         if state and _metrics.is_enabled():
             _metrics.get_registry().merge_state(state)  # type: ignore[arg-type]
@@ -772,7 +759,6 @@ def tradeoff_results_parallel(
                 }, float(weight))
             for weight, out in run_state.completions():
                 answers[weight] = out["result"]
-                run_state.merge_cache(out)
                 run_state.graft(out)
         finally:
             run_state.finish(worker_requests=len(answers))

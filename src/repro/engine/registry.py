@@ -44,8 +44,8 @@ class EngineInfo:
     supports_correlated: bool = False
     #: Safe to execute in a worker process: the runner is a pure function
     #: of a picklable request + options (no shared mutable state beyond
-    #: the per-process stage-matrix cache, whose hit/miss deltas are
-    #: merged back by :mod:`repro.engine.parallel`).
+    #: the per-process cache tiers, whose hit/miss deltas are merged
+    #: back by :mod:`repro.engine.parallel`).
     parallel_safe: bool = False
     #: The answer is a pure function of the request alone -- no seed,
     #: sample budget or wall clock in the output -- so it may be replayed

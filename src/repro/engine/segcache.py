@@ -28,19 +28,17 @@ cold evaluations are bit-identical by construction, which is what makes
 this tier safe to share across workers and restarts without replay
 provenance.  One deliberate caveat: keys quantise probabilities to
 :data:`~repro.core.transfer.KEY_QUANT_DIGITS` decimal digits -- the
-library-wide identity convention shared with the stage-matrix LRU and
-the result cache -- so two *distinct* probabilities closer than 1e-12
-are treated as the same stage and served by the first-seen
-representative, exactly as the result cache already does for whole
-requests.
+library-wide identity convention shared with the result cache -- so
+two *distinct* probabilities closer than 1e-12 are treated as the same
+stage and served by the first-seen representative, exactly as the
+result cache already does for whole requests.
 
 Obs metrics: ``engine.cache.segment.{hits,misses}`` counters and the
 ``engine.cache.segment.size`` gauge for the memory tier;
 ``engine.cache.segment.disk.{hits,misses,writes,corrupt,evictions,
 races}`` and ``engine.cache.segment.disk.entries`` for the disk tier.
 Worker processes fold their per-chunk deltas back through
-:meth:`SegmentCache.merge_stats`, the same lock path the stage-matrix
-LRU uses (:mod:`repro.engine.parallel`).
+:meth:`SegmentCache.merge_stats` (:mod:`repro.engine.parallel`).
 """
 
 from __future__ import annotations

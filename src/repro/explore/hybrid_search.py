@@ -62,9 +62,8 @@ def _stage_matrix(
     """2x2 map ``v_next = T v`` of one stage (rows: next c0/c1 mass).
 
     ``T[out][in]``: contribution of incoming mass with carry *in* to the
-    outgoing success mass with carry *out*.  Served from the
-    process-wide stage-matrix cache -- the DP revisits the same
-    ``(cell, p_a, p_b)`` combination once per frontier vector.
+    outgoing success mass with carry *out*.  The DP builds it once per
+    cell per stage and applies it to every frontier vector.
     """
     return stage_transition(table, p_a, p_b).matrix
 

@@ -17,7 +17,7 @@ built around three rules:
   rolling window of the most recent samples.  Bucket counts and the
   exact count/total/min/max scalars add, so worker-process deltas fold
   back into the parent registry (:meth:`MetricsRegistry.merge_state`)
-  the same way the stage-matrix cache merges hit/miss deltas.
+  the same way the segment cache merges hit/miss deltas.
 
 Quantile-accuracy contract
 --------------------------
@@ -494,7 +494,7 @@ class MetricsRegistry:
         add, so they are excluded.  *exclude_prefixes* drops metric
         families merged through a different channel (the parallel
         executor excludes ``engine.cache.*``, which travels with the
-        stage-matrix cache deltas instead).
+        segment-tier cache deltas instead).
         """
         def keep(name: str) -> bool:
             return not any(name.startswith(p) for p in exclude_prefixes)

@@ -134,8 +134,8 @@ def evaluate_slo(
     p99 = float(latency["p99_s"]) if has_latency else None
 
     counters: Mapping[str, object] = snapshot.get("counters") or {}
-    hits = int(counters.get("engine.cache.hits") or 0)
-    misses = int(counters.get("engine.cache.misses") or 0)
+    hits = int(counters.get("engine.cache.result.hits") or 0)
+    misses = int(counters.get("engine.cache.result.misses") or 0)
     hit_rate = hits / (hits + misses) if hits + misses else None
 
     checks: List[Dict[str, object]] = [

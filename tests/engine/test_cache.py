@@ -1,27 +1,41 @@
-"""Stage-matrix cache: keying, LRU eviction, quantisation, stats."""
+"""Stage transitions: a pure function of (truth table, P(A), P(B))."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.core.adders import PAPER_LPAAS
+from repro.core.matrices import derive_matrices
 from repro.core.truth_table import ACCURATE
-from repro.engine.cache import (
-    GLOBAL_CACHE,
-    StageMatrixCache,
-    StageTransition,
-    analysis_matrices,
-    cache_stats,
-    clear_cache,
-    stage_transition,
-)
+from repro.engine import AnalysisRequest, run
+from repro.engine.cache import StageTransition, mask_arrays, stage_transition
+
+CELLS = (ACCURATE, *PAPER_LPAAS)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_global_cache():
-    clear_cache()
-    yield
-    clear_cache()
+def _row_order_contraction(table, p_a, p_b):
+    """Eqs. 10-12 spelled out: visit the truth-table rows in order and
+    add each success row's pair weight to the entry its mask and
+    carry-in select."""
+    mkl = derive_matrices(table)
+    qa, qb = 1.0 - p_a, 1.0 - p_b
+    pair = (qa * qb, qa * p_b, p_a * qb, p_a * p_b)
+    t = [0.0] * 6  # t00 t01 t10 t11 l0 l1
+    for row in range(8):
+        weight, cin = pair[row >> 1], row & 1
+        if mkl.k[row]:
+            t[0 + cin] += weight
+        if mkl.m[row]:
+            t[2 + cin] += weight
+        if mkl.l[row]:
+            t[4 + cin] += weight
+    return tuple(t)
 
 
 class TestStageTransition:
@@ -45,140 +59,57 @@ class TestStageTransition:
         assert t.final == (t.l0, t.l1)
 
 
-class TestCaching:
-    def test_hit_on_identical_query(self):
-        stage_transition(PAPER_LPAAS[0], 0.5, 0.5)
-        before = cache_stats()
-        stage_transition(PAPER_LPAAS[0], 0.5, 0.5)
-        after = cache_stats()
-        assert after.hits == before.hits + 1
-        assert after.misses == before.misses
+class TestPureFunction:
+    def test_bit_identical_to_row_order_contraction(self):
+        rng = np.random.default_rng(20170618)
+        grid = [0.0, 0.5, 1.0, 5e-324, 1.0 - 2.0 ** -53,
+                *rng.random(40).tolist()]
+        for table in CELLS:
+            for p_a in grid:
+                for p_b in grid[::3]:
+                    got = tuple(stage_transition(table, p_a, p_b))
+                    want = _row_order_contraction(table, p_a, p_b)
+                    assert [x.hex() for x in got] == \
+                        [x.hex() for x in want], (table.name, p_a, p_b)
 
-    def test_quantisation_merges_sub_tolerance_probabilities(self):
-        # Differences below the 1e-12 quantum map to one cache entry.
-        stage_transition(PAPER_LPAAS[1], 0.5, 0.5)
-        before = cache_stats()
-        stage_transition(PAPER_LPAAS[1], 0.5 + 1e-14, 0.5)
-        assert cache_stats().hits == before.hits + 1
-
-    def test_same_rows_share_entries_across_table_objects(self):
-        # The key is the truth-table fingerprint, not object identity.
+    def test_same_rows_give_identical_transitions_across_table_objects(self):
+        # The memo key is the truth-table rows, not object identity.
         clone = type(ACCURATE)(ACCURATE.rows, name="clone-of-accurate")
-        stage_transition(ACCURATE, 0.5, 0.5)
-        before = cache_stats()
-        stage_transition(clone, 0.5, 0.5)
-        assert cache_stats().hits == before.hits + 1
+        assert stage_transition(clone, 0.3, 0.6) == \
+            stage_transition(ACCURATE, 0.3, 0.6)
+        assert mask_arrays(clone) is mask_arrays(ACCURATE)
 
-    def test_distinct_probabilities_miss(self):
-        stage_transition(PAPER_LPAAS[2], 0.1, 0.9)
-        before = cache_stats()
-        stage_transition(PAPER_LPAAS[2], 0.2, 0.9)
-        after = cache_stats()
-        assert after.misses == before.misses + 1
-
-
-class TestLRUBehaviour:
-    def test_eviction_at_capacity(self):
-        cache = StageMatrixCache(capacity=2)
-        cache.stage_transition(ACCURATE, 0.1, 0.1)
-        cache.stage_transition(ACCURATE, 0.2, 0.2)
-        cache.stage_transition(ACCURATE, 0.3, 0.3)  # evicts (0.1, 0.1)
-        assert cache.stats().size == 2
-        before = cache.stats()
-        cache.stage_transition(ACCURATE, 0.1, 0.1)  # re-computed
-        assert cache.stats().misses == before.misses + 1
-
-    def test_recent_use_protects_from_eviction(self):
-        cache = StageMatrixCache(capacity=2)
-        cache.stage_transition(ACCURATE, 0.1, 0.1)
-        cache.stage_transition(ACCURATE, 0.2, 0.2)
-        cache.stage_transition(ACCURATE, 0.1, 0.1)  # touch: now MRU
-        cache.stage_transition(ACCURATE, 0.3, 0.3)  # evicts (0.2, 0.2)
-        before = cache.stats()
-        cache.stage_transition(ACCURATE, 0.1, 0.1)
-        assert cache.stats().hits == before.hits + 1
-
-    def test_capacity_zero_disables_memoisation(self):
-        cache = StageMatrixCache(capacity=0)
-        a = cache.stage_transition(ACCURATE, 0.5, 0.5)
-        b = cache.stage_transition(ACCURATE, 0.5, 0.5)
-        assert a.success(0.5, 0.5) == b.success(0.5, 0.5)
-        assert cache.stats().hits == 0
-        assert cache.stats().size == 0
-
-    def test_clear_resets_entries_and_stats(self):
-        cache = StageMatrixCache(capacity=8)
-        cache.stage_transition(ACCURATE, 0.5, 0.5)
-        cache.stage_transition(ACCURATE, 0.5, 0.5)
-        cache.clear()
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
-
-    def test_configure_shrinks_existing_population(self):
-        cache = StageMatrixCache(capacity=8)
-        for k in range(6):
-            cache.stage_transition(ACCURATE, k / 10.0, 0.5)
-        cache.configure(capacity=3)
-        assert cache.stats().size <= 3
-
-    def test_hit_rate(self):
-        cache = StageMatrixCache(capacity=8)
-        assert cache.stats().hit_rate == 0.0
-        cache.stage_transition(ACCURATE, 0.5, 0.5)
-        cache.stage_transition(ACCURATE, 0.5, 0.5)
-        cache.stage_transition(ACCURATE, 0.5, 0.5)
-        assert cache.stats().hit_rate == pytest.approx(2.0 / 3.0)
+    def test_nearby_probabilities_are_not_merged(self):
+        # Each call contracts its own probabilities: a value 1e-14 away
+        # is not served the transition of an earlier caller.
+        base = stage_transition(PAPER_LPAAS[1], 0.5, 0.5)
+        nudged = stage_transition(PAPER_LPAAS[1], 0.5 + 1e-14, 0.5)
+        assert nudged == _row_order_contraction(PAPER_LPAAS[1],
+                                                0.5 + 1e-14, 0.5)
+        assert nudged != base
 
 
-class TestDerivedArtifacts:
-    def test_analysis_matrices_memoised_per_table(self):
-        first = analysis_matrices(PAPER_LPAAS[3])
-        second = analysis_matrices(PAPER_LPAAS[3])
-        assert first is second
+class TestHistoryIndependence:
+    P_A = 0.1234567891
+    NUDGED = 0.1234567891 + 2e-13
 
-    def test_global_cache_is_module_singleton(self):
-        stage_transition(ACCURATE, 0.5, 0.5)
-        assert GLOBAL_CACHE.stats().misses >= 1
+    def test_chain_answer_does_not_depend_on_earlier_requests(self):
+        # The two probabilities round to the same 12 digits.  A
+        # probability-keyed cache would serve the second request the
+        # first one's transitions; the answer must instead match a fresh
+        # process that runs the second request alone.
+        run(request=AnalysisRequest.chain("LPAA 1", 32, p_a=self.P_A))
+        warm = run(request=AnalysisRequest.chain(
+            "LPAA 1", 32, p_a=self.NUDGED)).p_success
 
-
-class TestStatMerging:
-    def test_merge_stats_accumulates(self):
-        cache = StageMatrixCache(capacity=8)
-        cache.stage_transition(ACCURATE, 0.5, 0.5)  # one miss
-        cache.merge_stats(hits=10, misses=3)
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (10, 4)
-
-    def test_merge_stats_rejects_negative_deltas(self):
-        cache = StageMatrixCache(capacity=8)
-        with pytest.raises(ValueError, match=">= 0"):
-            cache.merge_stats(hits=-1)
-
-    def test_counters_consistent_under_concurrent_lookups(self):
-        # Regression: hit/miss read-modify-writes must happen under the
-        # LRU lock, or concurrent lookups (threaded callers, the pool's
-        # parent-side merge) lose increments.
-        import threading
-
-        cache = StageMatrixCache(capacity=64)
-        points = [(i / 40.0, 0.5) for i in range(20)]
-        workers = 8
-        rounds = 30
-        barrier = threading.Barrier(workers)
-
-        def hammer():
-            barrier.wait()
-            for _ in range(rounds):
-                for p_a, p_b in points:
-                    cache.stage_transition(ACCURATE, p_a, p_b)
-                cache.merge_stats(hits=1)
-
-        threads = [threading.Thread(target=hammer) for _ in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stats = cache.stats()
-        lookups = workers * rounds * len(points)
-        assert stats.hits + stats.misses == lookups + workers * rounds
-        assert stats.misses >= len(points)
+        src = Path(__file__).resolve().parents[2] / "src"
+        code = (
+            "from repro.engine import AnalysisRequest, run\n"
+            "print(repr(run(request=AnalysisRequest.chain("
+            f"'LPAA 1', 32, p_a={self.NUDGED!r})).p_success))\n"
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout.strip()
+        assert repr(warm) == fresh

@@ -60,6 +60,17 @@ class TestRequestKey:
         gear_like = AnalysisRequest.chain("LPAA 1", 4, joints=((0.25,) * 4,) * 4)
         assert request_key(gear_like) is None
 
+    def test_key_is_pinned_so_existing_stores_still_hit(self):
+        # A changed canonical document (format, field names, the
+        # 12-digit probability quantum) would orphan every entry already
+        # on disk.  This digest was computed when the key was defined.
+        request = AnalysisRequest.chain(
+            "LPAA 1", 8, p_a=0.1234567891,
+            p_b=[0.5, 0.3, 0.7, 1.0, 0.0, 0.25, 0.125, 1 / 3], p_cin=0.2)
+        assert request_key(request) == (
+            "6bf0d2b6aeee5c5688028312864f57b5"
+            "7a52c0ee28121c0bdd3ab622b57d70cb")
+
     def test_check_masking_is_part_of_the_identity(self):
         masked = request_key(_request(check_masking=True))
         unmasked = request_key(_request(check_masking=False))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro import engine
 from repro.core.exceptions import AnalysisError
 from repro.engine import AnalysisRequest
-from repro.engine.cache import GLOBAL_CACHE, clear_cache
 from repro.engine.parallel import (
     PARALLEL_EXHAUSTIVE,
     budget_allows_parallel,
@@ -235,16 +234,6 @@ class TestRouterRung:
 
 
 class TestObsMerging:
-    def test_worker_cache_deltas_merge_into_global_counters(self):
-        clear_cache()
-        try:
-            requests = _chain_requests(8)
-            engine.run_batch(requests, parallelism=JOBS, engine="recursive")
-            stats = GLOBAL_CACHE.stats()
-            assert stats.hits + stats.misses > 0
-        finally:
-            clear_cache()
-
     def test_worker_metric_deltas_merge_to_the_serial_totals(self):
         # S4 hammer: the per-backend timers and request counters the
         # workers record must fold back into the parent registry with

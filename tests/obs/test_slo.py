@@ -14,9 +14,9 @@ def _snapshot(latency_s=None, hits=0, misses=0, count=0):
     try:
         with metrics.use_registry(registry):
             if hits:
-                metrics.inc("engine.cache.hits", hits)
+                metrics.inc("engine.cache.result.hits", hits)
             if misses:
-                metrics.inc("engine.cache.misses", misses)
+                metrics.inc("engine.cache.result.misses", misses)
             for _ in range(count):
                 metrics.observe("serve.http.analyze.seconds", latency_s)
             return registry.snapshot()
@@ -98,6 +98,28 @@ class TestEvaluateSlo:
             snapshot, SloPolicy(min_cache_hit_rate=0.5))
         by_name = {c["name"]: c for c in verdict["checks"]}
         assert by_name["cache_hit_rate"]["status"] == "fail"
+
+    @pytest.mark.parametrize("hits, status", [(9, "pass"), (1, "fail")])
+    def test_cache_hit_rate_reads_the_result_tier(self, hits, status):
+        # --slo-cache-hit-rate is documented as the result-cache hit
+        # rate: result-tier counters alone must be judged against the
+        # threshold, and other tiers' counters must not feed it.
+        registry = metrics.MetricsRegistry()
+        metrics.enable()
+        try:
+            with metrics.use_registry(registry):
+                metrics.inc("engine.cache.result.hits", hits)
+                metrics.inc("engine.cache.result.misses", 10 - hits)
+                metrics.inc("engine.cache.segment.hits", 1000)
+                metrics.inc("engine.cache.matrices.hits", 1000)
+                snapshot = registry.snapshot()
+        finally:
+            metrics.disable()
+        verdict = evaluate_slo(snapshot, SloPolicy(min_cache_hit_rate=0.5))
+        by_name = {c["name"]: c for c in verdict["checks"]}
+        assert by_name["cache_hit_rate"]["status"] == status
+        assert by_name["cache_hit_rate"]["observed"] == pytest.approx(
+            hits / 10)
 
     def test_latency_uses_the_rolling_window_not_whole_run(self):
         # A long-ago slow spell outside the window must not fail the
