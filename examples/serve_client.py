@@ -29,7 +29,8 @@ def main() -> None:
     server = AnalysisServer(ServeConfig(
         port=0,                  # pick a free port
         max_batch=32,
-        batch_window_s=0.005,    # coalesce concurrent arrivals for 5 ms
+        batch_window_s=0.005,    # under concurrency, coalesce for 5 ms;
+                                 # a lone request is dispatched at once
         cache_dir=cache_dir,     # persist exact answers across restarts
     ))
     base = server.start()

@@ -1162,8 +1162,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "coalescing; default 64)")
     p.add_argument("--batch-window-ms", type=float, default=5.0,
                    metavar="MS",
-                   help="how long a request waits for companions "
-                        "(default 5 ms)")
+                   help="how long the dispatcher waits for companions "
+                        "when requests queued up during the previous "
+                        "batch; a request that finds the service idle "
+                        "is dispatched at once (default 5 ms)")
     p.add_argument("--queue-limit", type=int, default=1024, metavar="N",
                    help="bounded queue size; beyond it requests are shed "
                         "with 429 (default 1024)")

@@ -8,6 +8,7 @@ eagerly, so a bad flag fails at start-up instead of under load.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -19,16 +20,23 @@ from ..obs.accesslog import (
 )
 from ..obs.slo import SloPolicy
 
+#: Float knobs validated as finite before their range checks.
+_FLOAT_KNOBS = ("batch_window_s", "default_deadline_s", "retry_after_s",
+                "drain_grace_s", "breaker_reset_s", "rate_limit_rps",
+                "rate_limit_burst")
+
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Knobs of one :class:`~repro.serve.AnalysisServer` instance.
 
-    *Batching*: an incoming request waits at most ``batch_window_s`` for
-    companions; up to ``max_batch`` requests are coalesced into one
-    vectorised :func:`repro.engine.run_batch` dispatch.  ``max_batch=1``
-    disables coalescing (every request runs alone -- the baseline the
-    throughput benchmark compares against).
+    *Batching*: up to ``max_batch`` requests are coalesced into one
+    vectorised :func:`repro.engine.run_batch` dispatch.  A request that
+    finds the service idle is dispatched at once; when requests queued
+    up during the previous batch, the dispatcher waits at most
+    ``batch_window_s`` for companions before closing the next one.
+    ``max_batch=1`` disables coalescing (every request runs alone -- the
+    baseline the throughput benchmark compares against).
 
     *Load shedding*: at most ``queue_limit`` requests may be waiting; a
     request arriving at a full queue is refused immediately with HTTP
@@ -90,6 +98,12 @@ class ServeConfig:
     rate_limit_burst: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # NaN passes every range check below (all its comparisons are
+        # false), so non-finite values are refused up front.
+        for name in _FLOAT_KNOBS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise AnalysisError(f"{name} must be finite, got {value}")
         if self.max_batch < 1:
             raise AnalysisError(
                 f"max_batch must be >= 1, got {self.max_batch}"

@@ -658,7 +658,7 @@ async def _serve_until_signal(config: ServeConfig) -> None:
             pass
     print(f"serving on {server.base_url}  "
           f"(max_batch={config.max_batch}, "
-          f"window={config.batch_window_s * 1000:.1f}ms, "
+          f"window={config.batch_window_s * 1000:.1f}ms when queued, "
           f"queue={config.queue_limit}"
           + (f", cache={config.cache_dir}" if config.cache_dir else "")
           + "); SIGTERM drains gracefully", flush=True)

@@ -5,11 +5,13 @@
 
 * ``submit()`` enqueues one normalised
   :class:`~repro.engine.request.AnalysisRequest` and awaits its answer;
-* a single dispatcher task drains the queue in micro-batches -- up to
-  ``max_batch`` requests, waiting at most ``batch_window_s`` for
-  companions -- and hands each batch to :func:`repro.engine.run_batch`,
-  so N concurrent clients share one vectorised chunk instead of N
-  scalar runs;
+* a single dispatcher task drains the queue in micro-batches of up to
+  ``max_batch`` requests and hands each batch to
+  :func:`repro.engine.run_batch`, so N concurrent clients share one
+  vectorised chunk instead of N scalar runs.  A request that finds the
+  service idle is dispatched at once; only when requests queued up
+  during the previous batch does the dispatcher wait up to
+  ``batch_window_s`` for companions;
 * the queue is bounded (``queue_limit``); a full queue sheds the new
   request immediately with :class:`OverloadedError` (HTTP 429 upstream)
   instead of building unbounded latency;
@@ -33,9 +35,12 @@ answer about the request, so it never counts as a breaker failure.
 Obs metrics: ``serve.enqueued`` / ``serve.shed`` / ``serve.expired`` /
 ``serve.batches`` / ``serve.batched_requests`` /
 ``serve.batch_isolated`` counters, the ``serve.queue_depth`` and
-``serve.batch_size`` gauges, the ``serve.batch_seconds`` timer around
-each engine dispatch, and the ``serve.breaker.*`` family from the
-circuit breaker.
+``serve.batch_size`` gauges, the ``serve.batch_occupancy`` and
+``serve.batch_window_seconds`` histograms (live requests per batch, and
+how long each batch was held open for companions -- 0 on an idle
+dispatch), the ``serve.batch_seconds`` timer around each engine
+dispatch, and the ``serve.breaker.*`` family from the circuit
+breaker.
 """
 
 from __future__ import annotations
@@ -404,11 +409,18 @@ class AnalysisService:
 
     async def _dispatch_loop(self) -> None:
         loop = asyncio.get_running_loop()
+        # Requests that queued up while the last batch ran mean the
+        # service is under concurrency: hold the next batch open for
+        # companions.  A request that finds the dispatcher idle (or not
+        # yet started) goes out at once, with whatever is already queued.
+        queued_behind = False
         while True:
-            first = await self._queue.get()
-            batch = [first]
-            if self.config.max_batch > 1 and self.config.batch_window_s > 0:
-                window_ends = loop.time() + self.config.batch_window_s
+            batch = [await self._queue.get()]
+            waited = 0.0
+            if (queued_behind and self.config.max_batch > 1
+                    and self.config.batch_window_s > 0):
+                taken_at = loop.time()
+                window_ends = taken_at + self.config.batch_window_s
                 while len(batch) < self.config.max_batch:
                     timeout = window_ends - loop.time()
                     if timeout <= 0:
@@ -418,17 +430,21 @@ class AnalysisService:
                             self._queue.get(), timeout=timeout))
                     except asyncio.TimeoutError:
                         break
+                waited = loop.time() - taken_at
             else:
                 while (len(batch) < self.config.max_batch
                        and not self._queue.empty()):
                     batch.append(self._queue.get_nowait())
             if _metrics.is_enabled():
+                _metrics.observe_histogram("serve.batch_window_seconds",
+                                           waited)
                 _metrics.set_gauge("serve.queue_depth", self._queue.qsize())
             try:
                 await self._run_batch(batch)
             finally:
                 for _ in batch:
                     self._queue.task_done()
+            queued_behind = not self._queue.empty()
 
     async def _run_batch(self, batch: List[_Pending]) -> None:
         loop = asyncio.get_running_loop()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import threading
+import time
 
 import pytest
 
@@ -40,6 +42,12 @@ class TestServeConfig:
         {"retry_after_s": -1.0},
         {"default_deadline_s": -2.0},
         {"port": 70000},
+    ] + [
+        {name: value}
+        for name in ("batch_window_s", "retry_after_s", "drain_grace_s",
+                     "default_deadline_s", "breaker_reset_s",
+                     "rate_limit_rps", "rate_limit_burst")
+        for value in (float("nan"), float("inf"))
     ])
     def test_bad_knobs_fail_at_construction(self, kwargs):
         with pytest.raises(AnalysisError):
@@ -136,6 +144,26 @@ def _doc(width=4, p_a=0.3):
     return parse_analysis_doc({"cell": "LPAA 1", "width": width, "p_a": p_a})
 
 
+def _hold_first_batch(monkeypatch):
+    """Make the first engine dispatch block until the event is set.
+
+    Returns ``(calls, release)``: the size of every dispatched batch, in
+    order, and the event that lets the first one finish.
+    """
+    real_run_batch = engine.run_batch
+    release = threading.Event()
+    calls = []
+
+    def held_run_batch(requests, *args, **kwargs):
+        calls.append(len(requests))
+        if len(calls) == 1:
+            release.wait(timeout=10)
+        return real_run_batch(requests, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_batch", held_run_batch)
+    return calls, release
+
+
 class TestAnalysisService:
     def test_submit_before_start_fails(self):
         async def scenario():
@@ -173,6 +201,80 @@ class TestAnalysisService:
         assert len(answers) == 8
         assert stats["served"] == 8
         assert stats["batches"] < 8, "requests must share engine batches"
+
+    def test_lone_request_skips_the_batch_window(self):
+        async def scenario():
+            service = AnalysisService(ServeConfig(batch_window_s=0.5))
+            await service.start()
+            started = time.perf_counter()
+            result = await service.submit(_doc())
+            elapsed = time.perf_counter() - started
+            await service.drain()
+            return result, elapsed
+        result, elapsed = _run(scenario())
+        assert result.exact
+        # A request that finds the service idle must not sleep through
+        # the window waiting for companions that never come.
+        assert elapsed < 0.25
+
+    def test_requests_queued_behind_a_batch_share_the_next_one(
+            self, monkeypatch):
+        calls, release = _hold_first_batch(monkeypatch)
+
+        async def scenario():
+            service = AnalysisService(
+                ServeConfig(max_batch=32, batch_window_s=0.05)
+            )
+            await service.start()
+            lone = asyncio.ensure_future(service.submit(_doc(p_a=0.1)))
+            while not calls:  # the lone request is now in the engine
+                await asyncio.sleep(0.001)
+            queued = [
+                asyncio.ensure_future(service.submit(_doc(p_a=i / 10)))
+                for i in range(2, 8)
+            ]
+            await asyncio.sleep(0.01)  # all six are queued behind it
+            release.set()
+            answers = await asyncio.gather(lone, *queued)
+            stats = service.stats()
+            await service.drain()
+            return answers, stats
+        answers, stats = _run(scenario())
+        assert len(answers) == 7
+        assert calls == [1, 6]
+        assert stats["batches"] == 2
+        assert stats["served"] == 7
+
+    def test_window_holds_a_queued_batch_open_for_late_arrivals(
+            self, monkeypatch):
+        calls, release = _hold_first_batch(monkeypatch)
+
+        async def scenario():
+            service = AnalysisService(
+                ServeConfig(max_batch=6, batch_window_s=5.0)
+            )
+            await service.start()
+            futures = [asyncio.ensure_future(service.submit(_doc(p_a=0.1)))]
+            while not calls:
+                await asyncio.sleep(0.001)
+            futures.append(
+                asyncio.ensure_future(service.submit(_doc(p_a=0.2))))
+            await asyncio.sleep(0.01)
+            release.set()
+            # The queued request is taken and its batch held open...
+            while service.stats()["queue_depth"]:
+                await asyncio.sleep(0.001)
+            assert len(calls) == 1
+            # ...so arrivals after that still join it (max_batch closes
+            # it at once, well inside the window).
+            futures += [
+                asyncio.ensure_future(service.submit(_doc(p_a=i / 10)))
+                for i in range(3, 8)
+            ]
+            await asyncio.gather(*futures)
+            await service.drain()
+        _run(scenario())
+        assert calls == [1, 6]
 
     def test_batch_answers_match_serial_engine_runs(self):
         docs = [_doc(width=w, p_a=0.4) for w in (2, 3, 4, 5)]

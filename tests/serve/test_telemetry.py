@@ -167,3 +167,18 @@ class TestHealthzSlo:
         hist = json.loads(body)["histograms"]["serve.batch_occupancy"]
         assert hist["count"] >= 1
         assert hist["max"] >= 1
+
+    def test_idle_dispatch_records_a_zero_batch_window(self, logged_server):
+        server, _ = logged_server
+        _fetch(server.base_url + "/v1/analyze",
+               {"cell": "LPAA 1", "width": 4})
+        _, body, _ = _fetch(server.base_url + "/metrics")
+        hist = json.loads(body)["histograms"]["serve.batch_window_seconds"]
+        # One lone request found the service idle: dispatched at once.
+        assert hist["count"] == 1
+        assert hist["max"] == 0.0
+        _, body, _ = _fetch(server.base_url + "/metrics",
+                            headers={"Accept": "text/plain"})
+        text = body.decode()
+        assert_valid_exposition(text)
+        assert "sealpaa_serve_batch_window_seconds_count 1" in text
